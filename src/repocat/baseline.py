@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import Prediction
+from .model import softmax
 
 logger = logging.getLogger(__name__)
 
@@ -90,14 +90,8 @@ class LinearModel:
     epoch_losses: list  # objective recorded at the start of each epoch
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
-
-
 def _objective(X, onehot, W, b, l2_lambda):
-    probs = _softmax(X @ W + b)
+    probs = softmax(X @ W + b)
     picked = np.clip((probs * onehot).sum(axis=1), 1e-300, None)
     return float(-np.mean(np.log(picked)) + 0.5 * l2_lambda * np.sum(W * W))
 
@@ -141,7 +135,7 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
         for lo in range(0, n, batch_size):
             sel = order[lo : lo + batch_size]
             Xb, Yb = X[sel], onehot[sel]
-            probs = _softmax(Xb @ W + b)
+            probs = softmax(Xb @ W + b)
             dlogits = (probs - Yb) / len(sel)
             gW = Xb.T @ dlogits + l2_lambda * W
             gb = dlogits.sum(axis=0)
@@ -157,20 +151,18 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
 
 
 def predict_logreg(model, features):
-    """Prediction for one sparse feature dict or dense vector."""
+    """(N, C) probabilities for a list of N sparse feature dicts or a dense
+    (N, n_features) matrix."""
     n_features = model.weights.shape[0]
-    if isinstance(features, dict):
-        x = np.zeros(n_features)
-        for idx, count in features.items():
-            if not 0 <= idx < n_features:
-                raise ValueError(f"feature index {idx} outside 0..{n_features - 1}")
-            x[idx] = count
+    if isinstance(features, np.ndarray):
+        X = np.asarray(features, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != n_features:
+            raise ValueError(
+                f"feature matrix shape {X.shape}, expected (N, {n_features})"
+            )
     else:
-        x = np.asarray(features, dtype=np.float64)
-        if x.shape != (n_features,):
-            raise ValueError(f"feature vector shape {x.shape}, expected ({n_features},)")
-    logits = (x @ model.weights + model.bias)[None, :]
-    return Prediction(_softmax(logits)[0])
+        X = features_matrix(features, n_features)
+    return softmax(X @ model.weights + model.bias)
 
 
 def save_baseline(path, model, bow_vocab, categories, extra_meta=None):
@@ -186,13 +178,18 @@ def save_baseline(path, model, bow_vocab, categories, extra_meta=None):
     checkpoint.save_checkpoint(path, meta, arrays)
 
 
+def from_checkpoint(meta, arrays, path):
+    """(model, bow_vocab, categories) from a loaded lr checkpoint; path
+    names the file in errors."""
+    if meta.get("kind") != "lr":
+        raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'lr'")
+    model = LinearModel(weights=arrays["weights"], bias=arrays["bias"], epoch_losses=[])
+    return model, BowVocabulary(meta["bow_tokens"]), meta["categories"]
+
+
 def load_baseline(path):
     """Returns (model, bow_vocab, categories, meta)."""
     from . import checkpoint
 
     meta, arrays = checkpoint.load_checkpoint(path)
-    if meta.get("kind") != "lr":
-        raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'lr'")
-    model = LinearModel(weights=arrays["weights"], bias=arrays["bias"], epoch_losses=[])
-    vocab = BowVocabulary(meta["bow_tokens"])
-    return model, vocab, meta["categories"], meta
+    return (*from_checkpoint(meta, arrays, path), meta)

@@ -476,21 +476,26 @@ def cmd_train_lr(args, cfg):
 
 
 def _load_predictor(path):
-    """(predict_fn, categories, kind) from either checkpoint flavor."""
-    meta, _ = checkpoint.load_checkpoint(path)
+    """(predict_batch, categories, kind) from either checkpoint flavor, read
+    once; predict_batch maps N token lists to (N, C) probabilities."""
+    meta, arrays = checkpoint.load_checkpoint(path)
     kind = meta.get("kind")
     if kind == "nn":
-        net, vocab, categories, _ = model.load_model(path)
+        net, vocab, categories = model.from_checkpoint(meta, arrays, path)
 
-        def predict(toks):
-            return model.forward(net, tokens.encode(toks, vocab, net.config.seq_len))
+        def predict(streams):
+            seq_len = net.config.seq_len
+            ids = np.stack([tokens.encode(toks, vocab, seq_len) for toks in streams])
+            return model.predict_proba(net, ids)
 
         return predict, categories, kind
     if kind == "lr":
-        lin, bow, categories, _ = baseline.load_baseline(path)
+        lin, bow, categories = baseline.from_checkpoint(meta, arrays, path)
 
-        def predict(toks):
-            return baseline.predict_logreg(lin, baseline.bow_features(toks, bow))
+        def predict(streams):
+            return baseline.predict_logreg(
+                lin, [baseline.bow_features(toks, bow) for toks in streams]
+            )
 
         return predict, categories, kind
     raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
@@ -605,3 +610,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -164,12 +164,13 @@ def classification_report(gold, predicted, categories):
     )
 
 
-def evaluate_project_level(predict_fn, holdout_projects, variant, categories):
-    """Score held-out projects with a per-function predictor.
+def evaluate_project_level(predict_batch, holdout_projects, variant, categories):
+    """Score held-out projects with a batch predictor.
 
-    predict_fn maps a token list to a Prediction over category indices
-    (aligned with `categories`).  Each project's functions are represented
-    under `variant` ("co" or "cd"), predicted, voted, and the per-project
+    predict_batch maps a list of N token lists to an (N, C) array of
+    probabilities over category indices (aligned with `categories`).  Each
+    project's functions are represented under `variant` ("co" or "cd") and
+    predicted in one call, their predictions are voted, and the per-project
     verdicts are scored against the gold categories.
 
     Returns (MetricsReport, [ProjectVerdict]).
@@ -187,11 +188,17 @@ def evaluate_project_level(predict_fn, holdout_projects, variant, categories):
             raise ValueError(
                 f"project {project.name!r} has unknown category {project.category!r}"
             )
-        predictions = []
-        for func in project.functions:
-            toks = tokens.variant_tokens(func.tokens, func.descr_tokens, variant)
-            predictions.append(predict_fn(toks))
-        verdict = vote(predictions, project=project.name)
+        streams = [
+            tokens.variant_tokens(func.tokens, func.descr_tokens, variant)
+            for func in project.functions
+        ]
+        probs = predict_batch(streams) if streams else np.empty((0, len(categories)))
+        if probs.shape != (len(streams), len(categories)):
+            raise ValueError(
+                f"predictor returned shape {probs.shape} for {len(streams)} "
+                f"functions over {len(categories)} categories"
+            )
+        verdict = vote([Prediction(row) for row in probs], project=project.name)
         verdict.gold = index_of[project.category]
         verdicts.append(verdict)
         gold_labels.append(project.category)

@@ -105,8 +105,8 @@ class TestTrainLogreg:
         feats = [{0: 3}, {1: 2}, {0: 1}, {1: 4}]
         labels = [0, 1, 0, 1]
         model = B.train_logreg(feats, labels, 2, epochs=60, lr=0.5, seed=0)
-        assert B.predict_logreg(model, {0: 5}).predicted == 0
-        assert B.predict_logreg(model, {1: 5}).predicted == 1
+        probs = B.predict_logreg(model, [{0: 5}, {1: 5}])
+        assert probs.argmax(axis=1).tolist() == [0, 1]
 
     def test_single_category_rejected(self):
         with pytest.raises(ValueError, match="single category"):
@@ -128,16 +128,29 @@ class TestTrainLogreg:
 class TestPredict:
     def test_probabilities_normalize(self):
         model = B.LinearModel(np.zeros((3, 4)), np.zeros(4), [])
-        pred = B.predict_logreg(model, {0: 1})
-        np.testing.assert_allclose(pred.probabilities.sum(), 1.0)
-        assert pred.probabilities.shape == (4,)
+        probs = B.predict_logreg(model, [{0: 1}, {}, {2: 3}])
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+        assert probs.shape == (3, 4)
 
     def test_dimension_mismatch_rejected(self):
         model = B.LinearModel(np.zeros((3, 2)), np.zeros(2), [])
         with pytest.raises(ValueError):
-            B.predict_logreg(model, np.zeros(5))
+            B.predict_logreg(model, np.zeros((1, 5)))
         with pytest.raises(ValueError):
-            B.predict_logreg(model, {7: 1})
+            B.predict_logreg(model, np.zeros(3))
+        with pytest.raises(ValueError):
+            B.predict_logreg(model, [{7: 1}])
+
+    def test_batch_matches_row_at_a_time(self):
+        X, y = _separable(seed=4)
+        model = B.train_logreg(X, y, 2, seed=4)
+        dicts = [{int(j): X[i, j] for j in np.flatnonzero(X[i])} for i in range(len(X))]
+        whole = B.predict_logreg(model, X)
+        np.testing.assert_array_equal(whole, B.predict_logreg(model, dicts))
+        for i in range(len(X)):
+            np.testing.assert_allclose(
+                B.predict_logreg(model, X[i : i + 1])[0], whole[i], rtol=0, atol=1e-12
+            )
 
 
 def test_save_load_round_trip(tmp_path):
@@ -152,9 +165,8 @@ def test_save_load_round_trip(tmp_path):
     assert vocab2.tokens() == vocab.tokens()
     assert categories == ["games", "sound"]
     assert meta["seed"] == 9
-    x = np.zeros(X.shape[1])
-    x[0] = 2
+    x = np.zeros((1, X.shape[1]))
+    x[0, 0] = 2
     np.testing.assert_array_equal(
-        B.predict_logreg(loaded, x).probabilities,
-        B.predict_logreg(model, x).probabilities,
+        B.predict_logreg(loaded, x), B.predict_logreg(model, x)
     )

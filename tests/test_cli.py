@@ -1,9 +1,14 @@
 """Command-line surface: pipeline wiring, flags, provenance, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repocat
 from repocat import cli, corpus, fileio
 
 
@@ -253,3 +258,21 @@ def test_embed_load_aligns_external_vectors(pipeline, capsys):
     assert run("--json", "embed", "neighbors", out, "sound_sig_head") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["neighbors"][0]["token"] == "network_sig_head"
+
+
+@pytest.mark.parametrize("module", ["repocat", "repocat.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(repocat.__file__).parents[1]))
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    bare = python_m()
+    assert bare.returncode != 0
+    assert "usage: repocat" in bare.stderr
+    helped = python_m("--help")
+    assert helped.returncode == 0
+    assert "usage: repocat" in helped.stdout

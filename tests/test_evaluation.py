@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repocat import evaluation as E
+from repocat import tokens as T
 from repocat.corpus import FunctionTokens, Project
 from repocat.evaluation import Prediction
 
@@ -152,17 +153,64 @@ def _holdout():
 
 
 def _marker_predictor(categories, use_descr=False):
-    """Predicts by looking for '<cat>_marker' / '<cat>_described' tokens."""
+    """Batch predictor looking for '<cat>_marker' / '<cat>_described' tokens."""
 
-    def predict(tokens):
-        probs = np.full(len(categories), 0.1)
-        for i, cat in enumerate(categories):
-            marker = f"{cat}_described" if use_descr else f"{cat}_marker"
-            if marker in tokens:
-                probs[i] = 1.0
-        return Prediction(probs / probs.sum())
+    def predict(streams):
+        probs = np.full((len(streams), len(categories)), 0.1)
+        for row, tokens in enumerate(streams):
+            for i, cat in enumerate(categories):
+                marker = f"{cat}_described" if use_descr else f"{cat}_marker"
+                if marker in tokens:
+                    probs[row, i] = 1.0
+        return probs / probs.sum(axis=1, keepdims=True)
 
     return predict
+
+
+def _noisy_predictor(n_categories, seed):
+    """Batch predictor whose rows depend only on each stream's tokens."""
+
+    def predict(streams):
+        rows = []
+        for tokens in streams:
+            key = sum(ord(ch) * (i + 1) for i, ch in enumerate("|".join(tokens)))
+            rows.append(np.random.default_rng([seed, key]).dirichlet(np.ones(n_categories)))
+        return np.array(rows)
+
+    return predict
+
+
+def _per_function_reference(predict_batch, projects, variant, categories):
+    """The per-function loop evaluate_project_level used to run."""
+    verdicts = []
+    for project in projects:
+        predictions = [
+            Prediction(predict_batch([T.variant_tokens(f.tokens, f.descr_tokens, variant)])[0])
+            for f in project.functions
+        ]
+        verdict = E.vote(predictions, project=project.name)
+        verdict.gold = categories.index(project.category)
+        verdicts.append(verdict)
+    return verdicts
+
+
+def _mixed_holdout(seed, n_projects=12):
+    """Projects of 1-9 functions over random tokens from three categories."""
+    rng = np.random.default_rng(seed)
+    categories = ["games", "sound", "science"]
+    projects = []
+    for p in range(n_projects):
+        cat = categories[p % 3]
+        functions = [
+            FunctionTokens(
+                project=f"p{p}", function=f"fn{i}", category=cat,
+                tokens=[f"t{int(t)}" for t in rng.integers(0, 40, int(rng.integers(1, 8)))],
+                descr_tokens=[f"d{int(t)}" for t in rng.integers(0, 5, 2)],
+            )
+            for i in range(int(rng.integers(1, 10)))
+        ]
+        projects.append(Project(name=f"p{p}", category=cat, functions=functions))
+    return projects, categories
 
 
 class TestEvaluateProjectLevel:
@@ -202,6 +250,37 @@ class TestEvaluateProjectLevel:
         bad[0].category = "surprise"
         with pytest.raises(ValueError, match="surprise"):
             E.evaluate_project_level(self._predict(), bad, "co", self.categories)
+
+    @pytest.mark.parametrize("variant", ["co", "cd"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_matches_per_function_reference(self, variant, seed):
+        projects, categories = _mixed_holdout(seed)
+        predict = _noisy_predictor(len(categories), seed)
+        report, verdicts = E.evaluate_project_level(predict, projects, variant, categories)
+        want = _per_function_reference(predict, projects, variant, categories)
+        assert verdicts == want
+        gold = [p.category for p in projects]
+        assert report == E.classification_report(
+            gold, [categories[v.winner] for v in want], categories
+        )
+
+    def test_one_predictor_call_per_project(self):
+        calls = []
+        inner = self._predict()
+
+        def predict(streams):
+            calls.append(len(streams))
+            return inner(streams)
+
+        E.evaluate_project_level(predict, _holdout(), "co", self.categories)
+        assert calls == [3, 2]
+
+    def test_wrong_predictor_shape_rejected(self):
+        def predict(streams):
+            return np.full((len(streams), 3), 1.0 / 3)
+
+        with pytest.raises(ValueError, match="shape"):
+            E.evaluate_project_level(predict, _holdout(), "co", self.categories)
 
 
 def test_write_verdicts(tmp_path):

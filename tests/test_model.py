@@ -142,11 +142,21 @@ class TestForward:
         batched = M.predict_proba(m, ids, batch_size=2)
         np.testing.assert_allclose(whole, batched, atol=1e-15)
 
-    def test_forward_returns_prediction(self):
+    def test_predict_proba_accepts_one_sequence(self):
         m = make_model()
-        pred = M.forward(m, np.zeros(m.config.seq_len, dtype=np.int64))
-        assert pred.probabilities.shape == (3,)
-        assert 0 <= pred.predicted < 3
+        ids = np.random.default_rng(3).integers(0, 12, size=m.config.seq_len)
+        probs = M.predict_proba(m, ids)
+        assert probs.shape == (1, 3)
+        np.testing.assert_array_equal(probs, M.predict_proba(m, ids[None, :]))
+
+    @pytest.mark.parametrize("chunk", [1, 16, 37])
+    def test_chunked_rows_match_per_row_calls(self, chunk):
+        m = make_model(seed=6)
+        ids = np.random.default_rng(6).integers(0, 12, size=(37, m.config.seq_len))
+        rows = np.array([M.predict_proba(m, row)[0] for row in ids])
+        np.testing.assert_allclose(
+            M.predict_proba(m, ids, batch_size=chunk), rows, rtol=0, atol=1e-12
+        )
 
     def test_bad_ids_rejected(self):
         m = make_model()
@@ -181,6 +191,36 @@ class TestGradients:
     def test_gradient_check_rejects_dropout(self):
         with pytest.raises(ValueError):
             M.gradient_check(tiny_config(dropout_level=0.5))
+
+    def test_tied_pool_windows_pass_the_check(self):
+        # one repeated token makes every conv window, so every pool window, tie
+        ids = np.full((1, tiny_config().seq_len), 3)
+        err = M.gradient_check(tiny_config(), seed=0, ids=ids)
+        assert err < 1e-4, f"max relative gradient error {err}"
+
+    def test_tied_pool_window_routes_gradient_to_first_max(self):
+        # kernel 1: token 3 is token 2 plus a component on embedding dim 0,
+        # whose conv weights are zeroed, so the two tie exactly in every
+        # filter; only the dim-0 conv gradient tells which position got it
+        cfg = tiny_config(kernel_size=1)
+        m = make_model(cfg, seed=4)
+        m.embedding[2, 0] = 0.0
+        m.embedding[3] = m.embedding[2]
+        m.embedding[3, 0] = 1.5
+        m.params["conv_w"][0, 0, :] = 0.0
+        m.params["conv_b"][:] = 10.0  # keep every activation above the ReLU
+        onehot = np.array([[1.0, 0.0, 0.0]])
+
+        def dim0_grad(first, second):
+            ids = np.tile([first, second], cfg.seq_len // 2)[None, :]
+            act = M.conv_activations(m, ids[0])
+            np.testing.assert_array_equal(act[0::2], act[1::2])  # windows tie
+            assert (act > 0).all()
+            _, cache = M._forward(m, ids, want_cache=True)
+            return M._backward(m, cache, onehot)["conv_w"][0, 0]
+
+        np.testing.assert_array_equal(dim0_grad(2, 3), 0.0)  # token 2 first
+        assert np.abs(dim0_grad(3, 2)).min() > 0  # token 3 first
 
     def test_all_parameters_receive_gradient(self):
         m = make_model(seed=7)
