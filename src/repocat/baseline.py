@@ -35,9 +35,6 @@ class BowVocabulary:
     def __len__(self):
         return len(self._tokens)
 
-    def __contains__(self, token):
-        return token in self._index
-
     def index_of(self, token):
         return self._index.get(token, -1)
 
@@ -100,7 +97,7 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
                  epochs=50, batch_size=128, seed=0):
     """Softmax regression via deterministic mini-batch gradient descent.
 
-    features: list of sparse feature dicts or a dense (N, F) matrix.
+    features: dense (N, F) count matrix (see features_matrix).
     labels: category indices in [0, num_categories).  The recorded
     epoch_losses[k] is the full objective at the start of epoch k, so with
     batch_size >= N (full batch) the sequence is the classic descent curve.
@@ -114,11 +111,7 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
         raise ValueError("training labels cover a single category; nothing to separate")
     if labels.min() < 0 or labels.max() >= num_categories:
         raise ValueError("label outside 0..num_categories-1")
-    if isinstance(features, np.ndarray):
-        X = np.asarray(features, dtype=np.float64)
-    else:
-        n_features = 1 + max((max(f) for f in features if f), default=-1)
-        X = features_matrix(features, n_features)
+    X = np.asarray(features, dtype=np.float64)
     if X.shape[0] != labels.size:
         raise ValueError(f"{X.shape[0]} feature rows vs {labels.size} labels")
 
@@ -151,17 +144,11 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
 
 
 def predict_logreg(model, features):
-    """(N, C) probabilities for a list of N sparse feature dicts or a dense
-    (N, n_features) matrix."""
+    """(N, C) probabilities for a dense (N, n_features) matrix."""
+    X = np.asarray(features, dtype=np.float64)
     n_features = model.weights.shape[0]
-    if isinstance(features, np.ndarray):
-        X = np.asarray(features, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != n_features:
-            raise ValueError(
-                f"feature matrix shape {X.shape}, expected (N, {n_features})"
-            )
-    else:
-        X = features_matrix(features, n_features)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"feature matrix shape {X.shape}, expected (N, {n_features})")
     return softmax(X @ model.weights + model.bias)
 
 
@@ -185,11 +172,3 @@ def from_checkpoint(meta, arrays, path):
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'lr'")
     model = LinearModel(weights=arrays["weights"], bias=arrays["bias"], epoch_losses=[])
     return model, BowVocabulary(meta["bow_tokens"]), meta["categories"]
-
-
-def load_baseline(path):
-    """Returns (model, bow_vocab, categories, meta)."""
-    from . import checkpoint
-
-    meta, arrays = checkpoint.load_checkpoint(path)
-    return (*from_checkpoint(meta, arrays, path), meta)

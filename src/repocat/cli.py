@@ -8,11 +8,10 @@ single prediction as a convolution-activation heatmap.
 
 Global flags come before the subcommand: ``--config FILE`` loads run
 settings (see runconfig), ``--seed`` points every stage seed at one value,
-``--threads`` parallelizes extraction, ``--json`` switches reports to
-machine-readable output.  Every subcommand exits nonzero with a one-line
-``error: ...`` diagnostic on failure.  Every artifact written embeds the
-full run configuration, so identical inputs and settings reproduce
-byte-identical outputs.
+``--json`` switches reports to machine-readable output.  Every subcommand
+exits nonzero with a one-line ``error: ...`` diagnostic on failure.  Every
+artifact written embeds the full run configuration, so identical inputs and
+settings reproduce byte-identical outputs.
 """
 
 import argparse
@@ -33,8 +32,6 @@ def _build_parser():
     )
     parser.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override every stage seed with one value")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for extraction (default 1)")
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="key = value settings file")
     parser.add_argument("--json", action="store_true",
@@ -201,30 +198,27 @@ def _dataset_vocab(records):
     )
 
 
-def _train_examples(records, vocab, seq_len):
-    """Every function contributes one co and one cd training example."""
+def _train_examples(records):
+    """(examples, categories): every function contributes a co and then a cd
+    (project, token stream, category index) example, in record order."""
     categories = sorted({r.category for r in records})
     if len(categories) < 2:
         raise ValueError(
             f"training data has {len(categories)} categories; need at least 2"
         )
     index = {cat: i for i, cat in enumerate(categories)}
-    examples = []
-    for rec in records:
-        for variant in ("co", "cd"):
-            ids = tokens.encode(
-                tokens.variant_tokens(rec.tokens, rec.descr_tokens, variant),
-                vocab, seq_len,
-            )
-            examples.append(model.TrainExample(rec.project, ids, index[rec.category]))
+    examples = [
+        (rec.project, tokens.variant_tokens(rec.tokens, rec.descr_tokens, variant),
+         index[rec.category])
+        for rec in records
+        for variant in ("co", "cd")
+    ]
     return examples, categories
 
 
 def cmd_extract(args, cfg):
     labels, descriptions = corpus.read_labels(args.labels)
-    projects = corpus.load_repository(
-        args.root, labels, descriptions, threads=max(1, args.threads)
-    )
+    projects = corpus.load_repository(args.root, labels, descriptions)
     if not projects:
         raise ValueError(f"no projects with extractable functions under {args.root}")
     records = [rec for proj in projects for rec in corpus.project_token_records(proj)]
@@ -409,7 +403,12 @@ def cmd_train_nn(args, cfg):
     records, _ = corpus.read_token_dataset(args.train)
     vocab = embedding.vocab_from_embedding_text(args.embedding)
     matrix = embedding.load_embedding_text(args.embedding, vocab)
-    examples, categories = _train_examples(records, vocab, cfg["data.seq_len"])
+    labeled, categories = _train_examples(records)
+    seq_len = cfg["data.seq_len"]
+    examples = [
+        model.TrainExample(project, tokens.encode(toks, vocab, seq_len), label)
+        for project, toks, label in labeled
+    ]
     ccfg = cfg.classifier_config(len(categories), int(matrix.shape[1]))
     net = model.fit(model.init_model(ccfg, matrix), examples)
     meta = _artifact_meta(
@@ -440,22 +439,14 @@ def cmd_train_lr(args, cfg):
         "lr_seed": "lr.seed",
     })
     records, _ = corpus.read_token_dataset(args.train)
-    categories = sorted({r.category for r in records})
-    if len(categories) < 2:
-        raise ValueError(
-            f"training data has {len(categories)} categories; need at least 2"
-        )
-    index = {cat: i for i, cat in enumerate(categories)}
-    streams = []
-    labels = []
-    for rec in records:
-        for variant in ("co", "cd"):
-            streams.append(tokens.variant_tokens(rec.tokens, rec.descr_tokens, variant))
-            labels.append(index[rec.category])
+    labeled, categories = _train_examples(records)
+    streams = [toks for _, toks, _ in labeled]
     bow = baseline.BowVocabulary.build(streams, size=cfg["lr.vocab_size"])
-    features = [baseline.bow_features(stream, bow) for stream in streams]
+    features = baseline.features_matrix(
+        [baseline.bow_features(stream, bow) for stream in streams], len(bow)
+    )
     lin = baseline.train_logreg(
-        features, labels, len(categories),
+        features, [label for _, _, label in labeled], len(categories),
         l2_lambda=cfg["lr.l2"], lr=cfg["lr.learning_rate"],
         epochs=cfg["lr.epochs"], batch_size=cfg["lr.batch_size"],
         seed=cfg["lr.seed"],
@@ -493,8 +484,9 @@ def _load_predictor(path):
         lin, bow, categories = baseline.from_checkpoint(meta, arrays, path)
 
         def predict(streams):
+            features = [baseline.bow_features(toks, bow) for toks in streams]
             return baseline.predict_logreg(
-                lin, [baseline.bow_features(toks, bow) for toks in streams]
+                lin, baseline.features_matrix(features, len(bow))
             )
 
         return predict, categories, kind

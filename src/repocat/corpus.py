@@ -16,7 +16,6 @@ the training side is balanced by undersampling functions per category.
 import logging
 import os
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,17 +288,6 @@ def _try_candidate(source, events, k_open, decl_start, name, project,
     return True, total
 
 
-def brace_balance(source):
-    """Net '{' minus '}' count outside comments/literals/preprocessor lines."""
-    balance = 0
-    for kind, _, _ in _lex(source):
-        if kind == "{":
-            balance += 1
-        elif kind == "}":
-            balance -= 1
-    return balance
-
-
 def extract_file(path, project=""):
     """Extract from one file path; returns ExtractionResult.
 
@@ -330,7 +318,7 @@ def iter_source_files(root):
     return found
 
 
-def load_repository(root, labels, descriptions=None, threads=1):
+def load_repository(root, labels, descriptions=None):
     """Build Projects from a directory tree of project subdirectories.
 
     labels: {project name: category}; descriptions: {project name: text}.
@@ -345,14 +333,9 @@ def load_repository(root, labels, descriptions=None, threads=1):
         if not os.path.isdir(pdir):
             logger.warning("project directory missing, skipped: %s", pdir)
             continue
-        files = iter_source_files(pdir)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda p: extract_file(p, project=name), files))
-        else:
-            results = [extract_file(path, project=name) for path in files]
         functions = []
-        for result in results:
+        for path in iter_source_files(pdir):
+            result = extract_file(path, project=name)
             functions.extend(result.functions)
             for diag in result.diagnostics:
                 logger.warning("%s", diag)
@@ -429,7 +412,7 @@ def project_token_records(project):
             project=project.name,
             function=fn.function_name,
             category=project.category,
-            tokens=T.build_representation(fn, variant="co"),
+            tokens=T.build_representation(fn),
             descr_tokens=descr_tokens,
         )
         for fn in project.functions

@@ -19,12 +19,13 @@ The published vector for each token is w + w~; rows 0 (padding) and
 For speed the nonzero entries are processed in seeded-shuffled chunks with
 scatter-add updates; gradients within a chunk are taken at chunk-start
 parameters rather than strictly sequentially.  Deterministic for a fixed
-seed.
+seed.  Training stops with FloatingPointError when an iteration's loss is
+not finite or exceeds DIVERGENCE_FACTOR times the initial loss: too large a
+step or chunk makes the loss blow up while it is still finite.
 """
 
 import logging
-import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +35,10 @@ from .tokens import PAD_ID, UNK_ID
 logger = logging.getLogger(__name__)
 
 STRATEGIES = ("code-only", "code-description")
+
+# An iteration whose mean loss exceeds this multiple of the loss at
+# initialization has diverged; healthy runs fall below the initial loss.
+DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass
@@ -66,8 +71,8 @@ class GloveConfig:
 def embedding_sentences(records, strategy):
     """Token sentences for embedding training, one per function record.
 
-    records carry .tokens (the co representation) and .descr_tokens (possibly
-    empty); dict records with the same keys are accepted too.
+    records are corpus.FunctionTokens: .tokens (the co representation) and
+    .descr_tokens (possibly empty).
     code-description prepends the description tokens; functions without a
     description emit their code-only sentence under either strategy.
     """
@@ -75,14 +80,10 @@ def embedding_sentences(records, strategy):
         raise ValueError(f"unknown embedding strategy: {strategy!r}")
     sentences = []
     for rec in records:
-        if isinstance(rec, dict):
-            co, descr = rec["tokens"], rec.get("descr_tokens") or []
+        if strategy == "code-description" and rec.descr_tokens:
+            sentences.append(list(rec.descr_tokens) + list(rec.tokens))
         else:
-            co, descr = rec.tokens, getattr(rec, "descr_tokens", []) or []
-        if strategy == "code-description" and descr:
-            sentences.append(list(descr) + list(co))
-        else:
-            sentences.append(list(co))
+            sentences.append(list(rec.tokens))
     return sentences
 
 
@@ -98,14 +99,8 @@ class CooccurrenceTable:
     def __getitem__(self, pair):
         return self.counts.get(pair, 0.0)
 
-    def items(self):
-        return self.counts.items()
-
-    def mass(self):
-        return sum(self.counts.values())
-
     def to_arrays(self):
-        """Sorted (targets, contexts, counts) arrays for training/serialization."""
+        """Sorted (targets, contexts, counts) arrays for training."""
         if not self.counts:
             return (
                 np.zeros(0, dtype=np.int64),
@@ -117,27 +112,6 @@ class CooccurrenceTable:
         jj = np.array([k[1] for k in keys], dtype=np.int64)
         xx = np.array([self.counts[k] for k in keys], dtype=np.float64)
         return ii, jj, xx
-
-    def save(self, path):
-        """Binary cache: repeated (uint32 target, uint32 context, float64 count) LE."""
-        ii, jj, xx = self.to_arrays()
-        out = bytearray()
-        for i, j, x in zip(ii, jj, xx):
-            out += struct.pack("<IId", int(i), int(j), float(x))
-        fileio.atomic_write_bytes(path, bytes(out))
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        record = struct.calcsize("<IId")
-        if len(raw) % record:
-            raise ValueError(f"{path}: truncated co-occurrence cache")
-        counts = {}
-        for off in range(0, len(raw), record):
-            i, j, x = struct.unpack_from("<IId", raw, off)
-            counts[(i, j)] = x
-        return cls(counts)
 
 
 def build_cooccurrence(sentences, config):
@@ -227,10 +201,10 @@ def train_glove(table, vocab_size, config, chunk=16384):
             np.add.at(grad_b, i_s, fdiff * fdiff)
             np.add.at(grad_bt, j_s, fdiff * fdiff)
         iteration_loss = total / n_entries
-        if not np.isfinite(iteration_loss):
+        if not iteration_loss <= DIVERGENCE_FACTOR * losses[0]:  # also catches nan
             raise FloatingPointError(
                 f"embedding training diverged at iteration {iteration + 1}: "
-                f"loss {iteration_loss}"
+                f"loss {iteration_loss}, initial loss {losses[0]}"
             )
         losses.append(iteration_loss)
         logger.info("glove iteration %d/%d loss %.6f",
@@ -343,8 +317,3 @@ def random_embedding(vocab_size, dims=100, seed=0, scale=0.5):
     matrix = rng.uniform(-scale, scale, size=(vocab_size, dims))
     matrix[:2] = 0.0
     return matrix
-
-
-def glove_config_meta(config):
-    """Flat provenance dict for artifact headers."""
-    return {f"glove.{k}": v for k, v in asdict(config).items()}

@@ -496,17 +496,11 @@ def gradient_check(config, seed=0, h=1e-5, ids=None):
     return worst
 
 
-def model_meta(model, extra=None):
-    """Checkpoint header fields for this model."""
-    meta = {"kind": "nn", "config": asdict(model.config), "seed": model.config.seed}
-    meta.update(extra or {})
-    return meta
-
-
 def save_model(path, model, vocab, categories, extra_meta=None):
     from . import checkpoint
 
-    meta = model_meta(model, extra_meta)
+    meta = {"kind": "nn", "config": asdict(model.config), "seed": model.config.seed}
+    meta.update(extra_meta or {})
     meta["categories"] = list(categories)
     meta["vocab_tokens"] = vocab.tokens()
     meta["vocab_sha256"] = vocab.sha256()

@@ -162,11 +162,6 @@ class RunConfig:
             lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path):
-        from . import fileio
-
-        fileio.atomic_write_text(path, self.dumps())
-
     def meta(self):
         """Flat JSON-safe dict for artifact headers."""
         return {f"cfg.{key}": value for key, value in sorted(self.values.items())}

@@ -20,8 +20,6 @@ import re
 
 import numpy as np
 
-from . import fileio
-
 PAD_ID = 0
 UNK_ID = 1
 DESCR_DELIM = "descrdelim"
@@ -40,23 +38,15 @@ def tokenize(text):
     return _NON_WORD.sub(" ", text.lower()).split()
 
 
-def build_representation(record, description=None, variant="cd"):
-    """Token sequence for one extracted function.
+def build_representation(record):
+    """co token sequence for one extracted function: [project name, function
+    name] + tokens(body).
 
     record needs project_name / function_name / body attributes (see
-    corpus.FunctionRecord).  variant "co" ignores the description; "cd"
-    appends ["descrdelim"] + tokens(description) when description is a
-    non-empty string.
+    corpus.FunctionRecord).  variant_tokens turns it into the cd sequence.
     """
-    if variant not in ("co", "cd"):
-        raise ValueError(f"unknown representation variant: {variant!r}")
     tokens = [record.project_name.lower(), record.function_name.lower()]
     tokens.extend(tokenize(record.body))
-    if variant == "cd" and description:
-        descr = tokenize(description)
-        if descr:
-            tokens.append(DESCR_DELIM)
-            tokens.extend(descr)
     return tokens
 
 
@@ -109,30 +99,6 @@ class Vocabulary:
         payload = "\n".join(self._tokens).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
-    def save(self, path, meta=None):
-        lines = fileio.comment_header(meta or {})
-        for offset, token in enumerate(self._tokens):
-            lines.append(f"{token}\t{2 + offset}")
-        fileio.atomic_write_text(path, "\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        tokens = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    token, token_id = line.split("\t")
-                    token_id = int(token_id)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: expected 'token<TAB>id'") from exc
-                if token_id != 2 + len(tokens):
-                    raise ValueError(f"{path}: line {lineno}: ids must be contiguous from 2")
-                tokens.append(token)
-        return cls(tokens)
-
 
 def build_vocabulary(token_streams):
     """First-seen-order vocabulary over an iterable of token sequences.
@@ -157,27 +123,3 @@ def encode(tokens, vocab, seq_len=DEFAULT_SEQ_LEN):
     for pos, token in enumerate(tokens[:seq_len]):
         ids[pos] = vocab.id_of(token)
     return ids
-
-
-def write_encoded_dataset(path, records, meta=None):
-    """records: iterables of dicts with project, category, variant, ids."""
-    rows = (
-        {
-            "project": rec["project"],
-            "category": rec["category"],
-            "variant": rec["variant"],
-            "ids": [int(i) for i in rec["ids"]],
-        }
-        for rec in records
-    )
-    fileio.write_jsonl(path, rows, meta=meta)
-
-
-def read_encoded_dataset(path):
-    records, meta = fileio.read_jsonl(path)
-    for rec in records:
-        missing = {"project", "category", "variant", "ids"} - set(rec)
-        if missing:
-            raise ValueError(f"{path}: encoded record missing fields {sorted(missing)}")
-        rec["ids"] = np.asarray(rec["ids"], dtype=np.int64)
-    return records, meta

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repocat import baseline as B
+from repocat import checkpoint
 
 
 class TestBowVocabulary:
@@ -55,6 +56,16 @@ class TestBowFeatures:
         with pytest.raises(ValueError):
             B.features_matrix([{5: 1}], 2)
 
+    def test_every_bow_column_occurs_in_training(self):
+        # train lr sizes its matrix by len(vocab): no column is left empty
+        rng = np.random.default_rng(0)
+        streams = [[f"t{int(i)}" for i in rng.integers(0, 12, 9)] for _ in range(20)]
+        for size in (3, 8, 1800):
+            vocab = B.BowVocabulary.build(streams, size=size)
+            X = B.features_matrix([B.bow_features(s, vocab) for s in streams], len(vocab))
+            assert X.shape == (20, min(size, 12))
+            assert (X.sum(axis=0) > 0).all()
+
 
 def _separable(n_per_class=40, n_features=6, seed=0):
     """Class c counts mostly features in its own half."""
@@ -101,13 +112,6 @@ class TestTrainLogreg:
         tight = B.train_logreg(X, y, 2, l2_lambda=1.0, epochs=40, seed=2)
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
 
-    def test_sparse_dict_features_accepted(self):
-        feats = [{0: 3}, {1: 2}, {0: 1}, {1: 4}]
-        labels = [0, 1, 0, 1]
-        model = B.train_logreg(feats, labels, 2, epochs=60, lr=0.5, seed=0)
-        probs = B.predict_logreg(model, [{0: 5}, {1: 5}])
-        assert probs.argmax(axis=1).tolist() == [0, 1]
-
     def test_single_category_rejected(self):
         with pytest.raises(ValueError, match="single category"):
             B.train_logreg(np.ones((4, 2)), [1, 1, 1, 1], 2)
@@ -128,7 +132,7 @@ class TestTrainLogreg:
 class TestPredict:
     def test_probabilities_normalize(self):
         model = B.LinearModel(np.zeros((3, 4)), np.zeros(4), [])
-        probs = B.predict_logreg(model, [{0: 1}, {}, {2: 3}])
+        probs = B.predict_logreg(model, B.features_matrix([{0: 1}, {}, {2: 3}], 3))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
         assert probs.shape == (3, 4)
 
@@ -138,15 +142,11 @@ class TestPredict:
             B.predict_logreg(model, np.zeros((1, 5)))
         with pytest.raises(ValueError):
             B.predict_logreg(model, np.zeros(3))
-        with pytest.raises(ValueError):
-            B.predict_logreg(model, [{7: 1}])
 
     def test_batch_matches_row_at_a_time(self):
         X, y = _separable(seed=4)
         model = B.train_logreg(X, y, 2, seed=4)
-        dicts = [{int(j): X[i, j] for j in np.flatnonzero(X[i])} for i in range(len(X))]
         whole = B.predict_logreg(model, X)
-        np.testing.assert_array_equal(whole, B.predict_logreg(model, dicts))
         for i in range(len(X)):
             np.testing.assert_allclose(
                 B.predict_logreg(model, X[i : i + 1])[0], whole[i], rtol=0, atol=1e-12
@@ -159,7 +159,8 @@ def test_save_load_round_trip(tmp_path):
     vocab = B.BowVocabulary([f"tok{i}" for i in range(X.shape[1])])
     path = tmp_path / "baseline.ckpt"
     B.save_baseline(path, model, vocab, ["games", "sound"], {"seed": 9})
-    loaded, vocab2, categories, meta = B.load_baseline(path)
+    meta, arrays = checkpoint.load_checkpoint(path)
+    loaded, vocab2, categories = B.from_checkpoint(meta, arrays, path)
     np.testing.assert_array_equal(loaded.weights, model.weights)
     np.testing.assert_array_equal(loaded.bias, model.bias)
     assert vocab2.tokens() == vocab.tokens()

@@ -9,6 +9,17 @@ import pytest
 from repocat import corpus
 
 
+def brace_balance(source):
+    """Net '{' minus '}' count outside comments/literals/preprocessor lines."""
+    balance = 0
+    for kind, _, _ in corpus._lex(source):
+        if kind == "{":
+            balance += 1
+        elif kind == "}":
+            balance -= 1
+    return balance
+
+
 SIMPLE = """\
 static int add(int a, int b) {
     return a + b;
@@ -83,7 +94,7 @@ class TestExtractFunctions:
         # Body starts at the declaration, not at the preceding noise.
         assert first.body.startswith("int first(void)")
         assert first.body.endswith("}")
-        assert corpus.brace_balance(first.body) == 0
+        assert brace_balance(first.body) == 0
 
     def test_control_keywords_never_match(self):
         src = "int f(void) { for (;;) { if (g()) { h(); } } return 0; }"
@@ -129,7 +140,7 @@ class TestExtractFunctions:
     def test_every_body_brace_balances(self):
         for src in (SIMPLE, TWO_WITH_NOISE, CPP_SCOPES):
             for fn in corpus.extract_functions(src).functions:
-                assert corpus.brace_balance(fn.body) == 0
+                assert brace_balance(fn.body) == 0
 
     def test_bodies_cover_whole_definition(self):
         # signature tokens and final brace retained, trailing code excluded
@@ -149,7 +160,7 @@ class TestLexer:
         src = 'int f(void) { puts("brace \\" {"); return 0; }'
         fns = corpus.extract_functions(src).functions
         assert len(fns) == 1
-        assert corpus.brace_balance(src) == 0
+        assert brace_balance(src) == 0
 
     def test_unterminated_string_resyncs_at_newline(self):
         src = 'static char *s = "oops;\nint g(void) { return 2; }\n'
@@ -157,9 +168,9 @@ class TestLexer:
         assert [f.function_name for f in fns] == ["g"]
 
     def test_brace_balance_ignores_comment_and_literal_braces(self):
-        assert corpus.brace_balance("/* { */ '{' \"{\" // {") == 0
-        assert corpus.brace_balance("{ }") == 0
-        assert corpus.brace_balance("{ { }") == 1
+        assert brace_balance("/* { */ '{' \"{\" // {") == 0
+        assert brace_balance("{ }") == 0
+        assert brace_balance("{ { }") == 1
 
 
 def _write_project(root, name, files):
@@ -209,19 +220,6 @@ class TestLoadRepository:
         with caplog.at_level(logging.WARNING, logger="repocat.corpus"):
             projects = corpus.load_repository(tmp_path, {"empty": "x", "full": "x"})
         assert [p.name for p in projects] == ["full"]
-
-    def test_threaded_matches_serial(self, tmp_path):
-        for i in range(4):
-            _write_project(
-                tmp_path, f"p{i}",
-                {f"f{j}.c": f"int fn{i}_{j}(void) {{ return {j}; }}\n" for j in range(5)},
-            )
-        labels = {f"p{i}": "x" for i in range(4)}
-        serial = corpus.load_repository(tmp_path, labels, threads=1)
-        threaded = corpus.load_repository(tmp_path, labels, threads=4)
-        assert [(p.name, [f.function_name for f in p.functions]) for p in serial] == [
-            (p.name, [f.function_name for f in p.functions]) for p in threaded
-        ]
 
 
 def _fake_projects(categories, projects_per_cat, functions_per_project):

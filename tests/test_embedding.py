@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repocat import embedding, tokens
-from repocat.embedding import CooccurrenceTable, GloveConfig
+from repocat.corpus import FunctionTokens
+from repocat.embedding import GloveConfig
 
 
 def oracle_cooccurrence(sentences, window, weighted=True):
@@ -31,7 +32,7 @@ class TestCooccurrence:
 
     def test_window_clipped_at_sentence_start(self):
         table = embedding.build_cooccurrence([[2, 3]], GloveConfig(window=50))
-        assert dict(table.items()) == {(3, 2): 1.0}
+        assert table.counts == {(3, 2): 1.0}
 
     def test_sentences_never_mix(self):
         joint = embedding.build_cooccurrence([[2, 3], [4, 5]], GloveConfig(window=4))
@@ -63,24 +64,11 @@ class TestCooccurrence:
         table = embedding.build_cooccurrence([[2, 3, 4]], cfg)
         assert table[(4, 2)] == 1.0
 
-    def test_binary_cache_round_trip(self, tmp_path):
-        table = embedding.build_cooccurrence([[2, 3, 4, 2, 3]], GloveConfig(window=3))
-        path = tmp_path / "cooc.bin"
-        table.save(path)
-        loaded = CooccurrenceTable.load(path)
-        assert loaded.counts == table.counts
-
-    def test_truncated_cache_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x01\x02\x03")
-        with pytest.raises(ValueError):
-            CooccurrenceTable.load(path)
-
 
 class TestEmbeddingSentences:
     records = [
-        {"tokens": ["proj", "fn", "int", "x"], "descr_tokens": ["audio", "mixer"]},
-        {"tokens": ["proj2", "fn2", "return"], "descr_tokens": []},
+        FunctionTokens("proj", "fn", "sound", ["proj", "fn", "int", "x"], ["audio", "mixer"]),
+        FunctionTokens("proj2", "fn2", "sound", ["proj2", "fn2", "return"]),
     ]
 
     def test_code_only(self):
@@ -167,6 +155,22 @@ class TestTrainGlove:
         _, l_big = embedding.train_glove(table, 30, cfg, chunk=100000)
         assert l_small[-1] < l_small[0]
         assert l_big[-1] < l_big[0]
+
+    def test_finite_blow_up_raises(self):
+        # one chunk at learning rate 0.5: the loss climbs by orders of
+        # magnitude per iteration and stays finite for the whole run
+        table, _ = _toy_table()
+        cfg = GloveConfig(window=5, dims=10, iterations=8, learning_rate=0.5, x_max=10)
+        with pytest.raises(FloatingPointError, match="diverged"):
+            embedding.train_glove(table, 30, cfg, chunk=100000)
+
+    def test_healthy_run_passes_the_blow_up_check(self):
+        table, _ = _toy_table()
+        cfg = GloveConfig(window=5, dims=10, iterations=8, learning_rate=0.05, x_max=10)
+        _, losses = embedding.train_glove(table, 30, cfg, chunk=100000)
+        assert len(losses) == 9
+        assert max(losses) <= losses[0] * (1 + 1e-12)
+        assert losses[-1] < losses[0] / 10
 
 
 class TestEmbeddingTextIO:

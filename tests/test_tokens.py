@@ -52,21 +52,19 @@ class TestRepresentation:
     record = FunctionRecord("SoundMixer", "P_F", "int P_F(void) { return g_vol; }")
 
     def test_co_prefixes_project_and_function_names(self):
-        rep = tokens.build_representation(self.record, variant="co")
+        rep = tokens.build_representation(self.record)
         assert rep[:2] == ["soundmixer", "p_f"]
         assert rep[2:] == ["int", "p_f", "void", "return", "g_vol"]
 
     def test_cd_appends_delimited_description(self):
-        rep = tokens.build_representation(
-            self.record, description="A sound mixer.", variant="cd"
-        )
-        co = tokens.build_representation(self.record, variant="co")
-        assert rep == co + ["descrdelim", "a", "sound", "mixer"]
+        co = tokens.build_representation(self.record)
+        descr = tokens.tokenize("A sound mixer.")
+        assert tokens.variant_tokens(co, descr, "cd") == co + ["descrdelim", "a", "sound", "mixer"]
 
     def test_cd_without_description_equals_co(self):
-        co = tokens.build_representation(self.record, variant="co")
-        assert tokens.build_representation(self.record, variant="cd") == co
-        assert tokens.build_representation(self.record, description="", variant="cd") == co
+        co = tokens.build_representation(self.record)
+        assert tokens.variant_tokens(co, [], "cd") == co
+        assert tokens.variant_tokens(co, tokens.tokenize("..."), "cd") == co
 
     def test_variant_tokens_round_trip(self):
         co = ["p", "f", "x"]
@@ -77,9 +75,53 @@ class TestRepresentation:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            tokens.build_representation(self.record, variant="xx")
-        with pytest.raises(ValueError):
             tokens.variant_tokens(["a"], [], "both")
+        with pytest.raises(ValueError):
+            tokens.variant_tokens(["a"], ["b"], "xx")
+
+
+def _c_function(n_statements):
+    """co stream of a C function with n_statements assignment statements."""
+    body = "static int mix_frames(struct mixer *m, int n) {\n"
+    body += "".join(f"    m->gain_{i} = scale(n, {i});\n" for i in range(n_statements))
+    body += "    return n;\n}"
+    return tokens.build_representation(FunctionRecord("alsamixer", "mix_frames", body))
+
+
+class TestCdAtRealisticLengths:
+    """Pins how encode's head-keep truncation treats the description."""
+
+    descr = tokens.tokenize("A terminal mixer for the ALSA sound system.")
+
+    def _vocab(self, co):
+        return tokens.build_vocabulary([tokens.variant_tokens(co, self.descr, "cd")])
+
+    @pytest.mark.parametrize("n_statements", [12, 20, 40])
+    def test_long_co_stream_cuts_the_description_away(self, n_statements):
+        co = _c_function(n_statements)
+        assert len(co) >= tokens.DEFAULT_SEQ_LEN
+        vocab = self._vocab(co)
+        cd_ids = tokens.encode(tokens.variant_tokens(co, self.descr, "cd"), vocab)
+        np.testing.assert_array_equal(cd_ids, tokens.encode(co, vocab))
+
+    def test_co_one_short_of_the_limit_keeps_only_the_delimiter(self):
+        co = _c_function(12)[: tokens.DEFAULT_SEQ_LEN - 1]
+        vocab = self._vocab(co)
+        cd_ids = tokens.encode(tokens.variant_tokens(co, self.descr, "cd"), vocab)
+        co_ids = tokens.encode(co, vocab)
+        np.testing.assert_array_equal(cd_ids[:-1], co_ids[:-1])
+        assert cd_ids[-1] == vocab.id_of(tokens.DESCR_DELIM)
+        assert co_ids[-1] == tokens.PAD_ID
+
+    def test_forty_token_co_stream_keeps_the_description(self):
+        co = _c_function(12)[:40]
+        assert len(co) == 40
+        vocab = self._vocab(co)
+        ids = tokens.encode(tokens.variant_tokens(co, self.descr, "cd"), vocab)
+        assert ids[40] == vocab.id_of(tokens.DESCR_DELIM)
+        descr_ids = [vocab.id_of(t) for t in self.descr]
+        assert ids[41 : 41 + len(descr_ids)].tolist() == descr_ids
+        assert (ids[41 + len(descr_ids) :] == tokens.PAD_ID).all()
 
 
 class TestVocabulary:
@@ -104,16 +146,13 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             tokens.build_vocabulary([[], []])
 
-    def test_save_load_round_trip(self, tmp_path):
+    def test_token_list_round_trip(self):
+        # checkpoints and embedding artifacts store tokens() and rebuild from it
         vocab = tokens.build_vocabulary([["alpha", "beta", "gamma_2"]])
-        path = tmp_path / "vocab.tsv"
-        vocab.save(path, meta={"source": "unit-test"})
-        text = path.read_text()
-        assert "alpha\t2" in text
-        assert text.startswith("# source=unit-test\n")
-        loaded = tokens.Vocabulary.load(path)
+        loaded = tokens.Vocabulary(vocab.tokens())
         assert loaded == vocab
         assert loaded.sha256() == vocab.sha256()
+        assert [loaded.id_of(t) for t in ("alpha", "beta", "gamma_2")] == [2, 3, 4]
 
     def test_sha256_changes_with_content(self):
         a = tokens.build_vocabulary([["a", "b"]])
@@ -167,20 +206,3 @@ class TestEncode:
                     assert ids[pos] == self.vocab.id_of(toks[pos])
                 else:
                     assert ids[pos] == tokens.PAD_ID
-
-
-def test_encoded_dataset_round_trip(tmp_path):
-    vocab = tokens.build_vocabulary([["a", "b"]])
-    recs = [
-        {"project": "p1", "category": "sound", "variant": "co",
-         "ids": tokens.encode(["a", "b"], vocab, seq_len=4)},
-        {"project": "p1", "category": "sound", "variant": "cd",
-         "ids": tokens.encode(["a", "zzz"], vocab, seq_len=4)},
-    ]
-    path = tmp_path / "enc.jsonl"
-    tokens.write_encoded_dataset(path, recs, meta={"seed": 0})
-    loaded, meta = tokens.read_encoded_dataset(path)
-    assert meta == {"seed": 0}
-    assert [r["variant"] for r in loaded] == ["co", "cd"]
-    np.testing.assert_array_equal(loaded[0]["ids"], [2, 3, 0, 0])
-    np.testing.assert_array_equal(loaded[1]["ids"], [2, 1, 0, 0])
