@@ -55,10 +55,12 @@ def _build_parser():
                         help="project-disjoint, category-balanced train/holdout")
     p.add_argument("dataset", help="token dataset from extract")
     p.add_argument("--holdout-per-cat", type=int, default=None, metavar="N",
-                   dest="holdout_per_cat", help="projects held out per category")
+                   dest="split.holdout_per_category",
+                   help="projects held out per category")
     p.add_argument("--per-cat", type=int, default=None, metavar="M",
-                   dest="per_cat", help="training functions sampled per category")
-    p.add_argument("--seed", type=int, default=None, metavar="S", dest="split_seed")
+                   dest="split.per_category_count",
+                   help="training functions sampled per category")
+    p.add_argument("--seed", type=int, default=None, metavar="S", dest="split.seed")
     p.add_argument("-o", "--output", required=True, metavar="PREFIX",
                    help="writes PREFIX.train.jsonl and PREFIX.holdout.jsonl")
     p.set_defaults(func=cmd_dataset_split)
@@ -66,16 +68,19 @@ def _build_parser():
     p = dsub.add_parser("synth",
                         help="generate the bundled synthetic labeled corpus")
     p.add_argument("-o", "--output", required=True, metavar="DIR")
-    p.add_argument("--categories", type=int, default=None, metavar="N")
+    p.add_argument("--categories", type=int, default=None, metavar="N",
+                   dest="synth.categories")
     p.add_argument("--projects-per-cat", type=int, default=None, metavar="N",
-                   dest="projects_per_cat")
+                   dest="synth.projects_per_category")
     p.add_argument("--functions-per-project", type=int, default=None, metavar="N",
-                   dest="functions_per_project")
+                   dest="synth.functions_per_project")
     p.add_argument("--noise", type=float, default=None, metavar="F",
+                   dest="synth.noise",
                    help="cross-category word replacement probability")
     p.add_argument("--phrase-rate", type=float, default=None, metavar="F",
-                   dest="phrase_rate", help="fraction of functions with the planted call")
-    p.add_argument("--seed", type=int, default=None, metavar="S", dest="synth_seed")
+                   dest="synth.phrase_rate",
+                   help="fraction of functions with the planted call")
+    p.add_argument("--seed", type=int, default=None, metavar="S", dest="synth.seed")
     p.set_defaults(func=cmd_dataset_synth)
 
     em = sub.add_parser("embed", help="train, import, or query word vectors")
@@ -85,13 +90,18 @@ def _build_parser():
     p.add_argument("train", help="training dataset from dataset split")
     p.add_argument("--strategy", required=True, choices=embedding.STRATEGIES,
                    help="text fed to the vector model")
-    p.add_argument("--window", type=int, default=None, metavar="N")
-    p.add_argument("--dims", type=int, default=None, metavar="N")
-    p.add_argument("--iterations", type=int, default=None, metavar="N")
-    p.add_argument("--x-max", type=float, default=None, metavar="F", dest="x_max")
-    p.add_argument("--alpha", type=float, default=None, metavar="F")
-    p.add_argument("--lr", type=float, default=None, metavar="F", dest="glove_lr")
-    p.add_argument("--seed", type=int, default=None, metavar="S", dest="glove_seed")
+    p.add_argument("--window", type=int, default=None, metavar="N",
+                   dest="glove.window")
+    p.add_argument("--dims", type=int, default=None, metavar="N", dest="glove.dims")
+    p.add_argument("--iterations", type=int, default=None, metavar="N",
+                   dest="glove.iterations")
+    p.add_argument("--x-max", type=float, default=None, metavar="F",
+                   dest="glove.x_max")
+    p.add_argument("--alpha", type=float, default=None, metavar="F",
+                   dest="glove.alpha")
+    p.add_argument("--lr", type=float, default=None, metavar="F",
+                   dest="glove.learning_rate")
+    p.add_argument("--seed", type=int, default=None, metavar="S", dest="glove.seed")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
     p.set_defaults(func=cmd_embed_train)
 
@@ -106,8 +116,8 @@ def _build_parser():
     p = esub.add_parser("random",
                         help="seeded random vectors over a dataset vocabulary")
     p.add_argument("--train", required=True, metavar="FILE")
-    p.add_argument("--dims", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=None, metavar="S", dest="glove_seed")
+    p.add_argument("--dims", type=int, default=None, metavar="N", dest="glove.dims")
+    p.add_argument("--seed", type=int, default=None, metavar="S", dest="glove.seed")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
     p.set_defaults(func=cmd_embed_random)
 
@@ -124,22 +134,23 @@ def _build_parser():
     p.add_argument("train")
     p.add_argument("--embedding", required=True, metavar="FILE",
                    help="frozen vectors; also carries the vocabulary")
-    p.add_argument("--epochs", type=int, default=None, metavar="N")
+    p.add_argument("--epochs", type=int, default=None, metavar="N", dest="nn.epochs")
     p.add_argument("--batch-size", type=int, default=None, metavar="N",
-                   dest="batch_size")
-    p.add_argument("--lr", type=float, default=None, metavar="F", dest="nn_lr")
-    p.add_argument("--seed", type=int, default=None, metavar="S", dest="nn_seed")
+                   dest="nn.batch_size")
+    p.add_argument("--lr", type=float, default=None, metavar="F",
+                   dest="nn.learning_rate")
+    p.add_argument("--seed", type=int, default=None, metavar="S", dest="nn.seed")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
     p.set_defaults(func=cmd_train_nn)
 
     p = tsub.add_parser("lr", help="bag-of-words logistic-regression baseline")
     p.add_argument("train")
     p.add_argument("--vocab-size", type=int, default=None, metavar="N",
-                   dest="vocab_size")
-    p.add_argument("--epochs", type=int, default=None, metavar="N",
-                   dest="lr_epochs")
-    p.add_argument("--lr", type=float, default=None, metavar="F", dest="lr_lr")
-    p.add_argument("--seed", type=int, default=None, metavar="S", dest="lr_seed")
+                   dest="lr.vocab_size")
+    p.add_argument("--epochs", type=int, default=None, metavar="N", dest="lr.epochs")
+    p.add_argument("--lr", type=float, default=None, metavar="F",
+                   dest="lr.learning_rate")
+    p.add_argument("--seed", type=int, default=None, metavar="S", dest="lr.seed")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
     p.set_defaults(func=cmd_train_lr)
 
@@ -167,21 +178,18 @@ def _build_parser():
 
 
 def _load_config(args):
-    if args.config:
-        cfg = runconfig.RunConfig.from_file(args.config)
-    else:
-        cfg = runconfig.RunConfig()
+    """Settings, each later source winning: the defaults, the global --seed,
+    the --config file, then the per-command flags given (a flag's dest is
+    the dotted key it sets)."""
+    cfg = runconfig.RunConfig()
     if args.seed is not None:
         cfg.override_seeds(args.seed)
-    return cfg
-
-
-def _apply_flags(cfg, args, mapping):
-    """Copy per-command flag values (when given) onto config keys."""
-    for attr, key in mapping.items():
-        value = getattr(args, attr)
-        if value is not None:
+    if args.config:
+        cfg.from_file(args.config)
+    for key, value in vars(args).items():
+        if "." in key and value is not None:
             cfg.set(key, value)
+    return cfg
 
 
 def _artifact_meta(cfg, command, **extra):
@@ -235,11 +243,6 @@ def cmd_extract(args, cfg):
 
 
 def cmd_dataset_split(args, cfg):
-    _apply_flags(cfg, args, {
-        "holdout_per_cat": "split.holdout_per_category",
-        "per_cat": "split.per_category_count",
-        "split_seed": "split.seed",
-    })
     records, _ = corpus.read_token_dataset(args.dataset)
     projects = corpus.group_by_project(records)
     split = corpus.make_splits(
@@ -272,14 +275,6 @@ def cmd_dataset_split(args, cfg):
 
 
 def cmd_dataset_synth(args, cfg):
-    _apply_flags(cfg, args, {
-        "categories": "synth.categories",
-        "projects_per_cat": "synth.projects_per_category",
-        "functions_per_project": "synth.functions_per_project",
-        "noise": "synth.noise",
-        "phrase_rate": "synth.phrase_rate",
-        "synth_seed": "synth.seed",
-    })
     scfg = cfg.synth_config()
     manifest = synth.generate_corpus(args.output, scfg)
     n_projects = scfg.categories * scfg.projects_per_category
@@ -299,15 +294,6 @@ def cmd_dataset_synth(args, cfg):
 
 
 def cmd_embed_train(args, cfg):
-    _apply_flags(cfg, args, {
-        "window": "glove.window",
-        "dims": "glove.dims",
-        "iterations": "glove.iterations",
-        "x_max": "glove.x_max",
-        "alpha": "glove.alpha",
-        "glove_lr": "glove.learning_rate",
-        "glove_seed": "glove.seed",
-    })
     records, _ = corpus.read_token_dataset(args.train)
     vocab = _dataset_vocab(records)
     gcfg = cfg.glove_config()
@@ -360,7 +346,6 @@ def cmd_embed_load(args, cfg):
 
 
 def cmd_embed_random(args, cfg):
-    _apply_flags(cfg, args, {"dims": "glove.dims", "glove_seed": "glove.seed"})
     records, _ = corpus.read_token_dataset(args.train)
     vocab = _dataset_vocab(records)
     matrix = embedding.random_embedding(
@@ -394,12 +379,6 @@ def cmd_embed_neighbors(args, cfg):
 
 
 def cmd_train_nn(args, cfg):
-    _apply_flags(cfg, args, {
-        "epochs": "nn.epochs",
-        "batch_size": "nn.batch_size",
-        "nn_lr": "nn.learning_rate",
-        "nn_seed": "nn.seed",
-    })
     records, _ = corpus.read_token_dataset(args.train)
     vocab = embedding.vocab_from_embedding_text(args.embedding)
     matrix = embedding.load_embedding_text(args.embedding, vocab)
@@ -432,12 +411,6 @@ def cmd_train_nn(args, cfg):
 
 
 def cmd_train_lr(args, cfg):
-    _apply_flags(cfg, args, {
-        "vocab_size": "lr.vocab_size",
-        "lr_epochs": "lr.epochs",
-        "lr_lr": "lr.learning_rate",
-        "lr_seed": "lr.seed",
-    })
     records, _ = corpus.read_token_dataset(args.train)
     labeled, categories = _train_examples(records)
     streams = [toks for _, toks, _ in labeled]

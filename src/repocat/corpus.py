@@ -62,8 +62,6 @@ class DatasetSplit:
 
     train: list  # (function, category) pairs, per_category_count per category
     holdout_projects: list  # Project objects
-    seed: int
-    per_category_count: int
 
 
 @dataclass
@@ -394,12 +392,7 @@ def make_splits(projects, holdout_per_category, per_category_count, seed):
             )
         picked = rng.choice(len(pool), size=per_category_count, replace=False)
         train.extend((pool[int(i)], category) for i in np.sort(picked))
-    return DatasetSplit(
-        train=train,
-        holdout_projects=holdout,
-        seed=seed,
-        per_category_count=per_category_count,
-    )
+    return DatasetSplit(train=train, holdout_projects=holdout)
 
 
 def project_token_records(project):

@@ -255,14 +255,15 @@ def save_embedding_text(path, matrix, vocab, meta=None):
     fileio.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_embedding_text(path, vocab, dims=None):
-    """Load 'token v1 .. vD' rows aligned to vocab.
+def load_embedding_text(path, vocab):
+    """Load 'token v1 .. vD' rows aligned to vocab; the first row sets D.
 
     Tokens outside the vocabulary are ignored; vocabulary tokens missing from
     the file keep zero vectors, as do padding/unknown.  Inconsistent column
     counts or duplicate tokens raise ValueError with the line number.
     """
     rows = {}
+    dims = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")

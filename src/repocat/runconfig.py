@@ -7,6 +7,12 @@ module defaults.  The full document is serialized into every output
 artifact's header so any file can be traced back to the exact settings that
 produced it, and identical settings reproduce identical bytes.
 
+Where the keys come from: ``glove.*``, ``nn.*`` and ``synth.*`` are the
+fields of ``embedding.GloveConfig``, ``model.ClassifierConfig`` and
+``synth.SynthConfig`` with their defaults (less the classifier fields the
+data or the code fixes); ``data.seq_len``, ``split.*``, ``embed.random_scale``
+and ``lr.*`` are declared here.
+
 File format: UTF-8 text, one ``key = value`` pair per line; blank lines and
 lines starting with ``#`` are ignored.  Booleans accept true/false/yes/no/
 on/off/1/0 in any case.
@@ -16,40 +22,29 @@ from dataclasses import fields
 
 from . import baseline, embedding, model, synth, tokens
 
-# Defaults are pulled from the owning modules so the two can never drift.
-_GLOVE = embedding.GloveConfig()
-_SYNTH = synth.SynthConfig()
-_NN = model.ClassifierConfig(num_categories=2)
+# Stage dataclasses whose fields are run settings, by key prefix.
+_STAGES = {
+    "glove": embedding.GloveConfig(),
+    "nn": model.ClassifierConfig(num_categories=2),
+    "synth": synth.SynthConfig(),
+}
+# ClassifierConfig fields no key sets: the data gives num_categories and
+# embed_dims, seq_len is data.seq_len, and the optimizer is always Adamax.
+_FIXED = {"num_categories", "seq_len", "embed_dims", "optimizer"}
+
+
+def _stage_fields(prefix):
+    """(key, field name) for every settable field of one stage dataclass."""
+    return [(f"{prefix}.{f.name}", f.name)
+            for f in fields(_STAGES[prefix]) if f.name not in _FIXED]
+
 
 DEFAULTS = {
     "data.seq_len": tokens.DEFAULT_SEQ_LEN,
     "split.holdout_per_category": 5,
     "split.per_category_count": 600,
     "split.seed": 1,
-    "glove.window": _GLOVE.window,
-    "glove.dims": _GLOVE.dims,
-    "glove.x_max": _GLOVE.x_max,
-    "glove.alpha": _GLOVE.alpha,
-    "glove.learning_rate": _GLOVE.learning_rate,
-    "glove.iterations": _GLOVE.iterations,
-    "glove.seed": _GLOVE.seed,
-    "glove.distance_weighting": _GLOVE.distance_weighting,
     "embed.random_scale": 0.5,
-    "nn.filters": _NN.filters,
-    "nn.kernel_size": _NN.kernel_size,
-    "nn.strides": _NN.strides,
-    "nn.pool_size": _NN.pool_size,
-    "nn.lstm_units": _NN.lstm_units,
-    "nn.hide_u": _NN.hide_u,
-    "nn.dropout_level": _NN.dropout_level,
-    "nn.epochs": _NN.epochs,
-    "nn.batch_size": _NN.batch_size,
-    "nn.learning_rate": _NN.learning_rate,
-    "nn.beta1": _NN.beta1,
-    "nn.beta2": _NN.beta2,
-    "nn.epsilon": _NN.epsilon,
-    "nn.validation_fraction": _NN.validation_fraction,
-    "nn.seed": _NN.seed,
     "lr.vocab_size": baseline.DEFAULT_VOCAB_SIZE,
     "lr.l2": 1e-4,
     "lr.learning_rate": 0.1,
@@ -58,11 +53,12 @@ DEFAULTS = {
     "lr.seed": 0,
 }
 DEFAULTS.update(
-    {f"synth.{f.name}": getattr(_SYNTH, f.name) for f in fields(synth.SynthConfig)}
+    (key, getattr(_STAGES[prefix], name))
+    for prefix in _STAGES for key, name in _stage_fields(prefix)
 )
 
 # Keys the global --seed flag fans out to (explicit settings win over it).
-SEED_KEYS = ("split.seed", "glove.seed", "nn.seed", "lr.seed", "synth.seed")
+SEED_KEYS = tuple(key for key in DEFAULTS if key.endswith(".seed"))
 
 
 def parse_value(key, text):
@@ -90,12 +86,10 @@ def parse_value(key, text):
 
 
 class RunConfig:
-    """Typed view over the flat key space with file round-tripping."""
+    """Typed view over the flat key space, settable from a file."""
 
-    def __init__(self, overrides=None):
+    def __init__(self):
         self.values = dict(DEFAULTS)
-        for key, value in (overrides or {}).items():
-            self.set(key, value)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -118,20 +112,14 @@ class RunConfig:
                 )
         self.values[key] = value
 
-    def update(self, mapping):
-        for key, value in mapping.items():
-            self.set(key, value)
-        return self
-
     def override_seeds(self, seed):
         """Point every stage seed at one value (the global --seed flag)."""
         for key in SEED_KEYS:
             self.set(key, int(seed))
         return self
 
-    @classmethod
-    def from_file(cls, path):
-        cfg = cls()
+    def from_file(self, path):
+        """Set the keys a `key = value` file names; the rest keep their values."""
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -145,22 +133,8 @@ class RunConfig:
                 key = key.strip()
                 if key not in DEFAULTS:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                cfg.set(key, parse_value(key, text))
-        return cfg
-
-    def dumps(self):
-        """Canonical text form: sorted `key = value` lines."""
-        lines = []
-        for key in sorted(self.values):
-            value = self.values[key]
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = repr(value)
-            else:
-                text = str(value)
-            lines.append(f"{key} = {text}")
-        return "\n".join(lines) + "\n"
+                self.set(key, parse_value(key, text))
+        return self
 
     def meta(self):
         """Flat JSON-safe dict for artifact headers."""
@@ -168,40 +142,17 @@ class RunConfig:
 
     # -- typed views ------------------------------------------------------
 
+    def _view(self, prefix, **fixed):
+        """The stage dataclass of `prefix` built from its keys (plus `fixed`)."""
+        values = {name: self[key] for key, name in _stage_fields(prefix)}
+        return type(_STAGES[prefix])(**fixed, **values)
+
     def glove_config(self):
-        return embedding.GloveConfig(
-            window=self["glove.window"],
-            dims=self["glove.dims"],
-            x_max=self["glove.x_max"],
-            alpha=self["glove.alpha"],
-            learning_rate=self["glove.learning_rate"],
-            iterations=self["glove.iterations"],
-            seed=self["glove.seed"],
-            distance_weighting=self["glove.distance_weighting"],
-        )
+        return self._view("glove")
 
     def classifier_config(self, num_categories, embed_dims):
-        return model.ClassifierConfig(
-            num_categories=num_categories,
-            seq_len=self["data.seq_len"],
-            embed_dims=embed_dims,
-            filters=self["nn.filters"],
-            kernel_size=self["nn.kernel_size"],
-            strides=self["nn.strides"],
-            pool_size=self["nn.pool_size"],
-            lstm_units=self["nn.lstm_units"],
-            hide_u=self["nn.hide_u"],
-            dropout_level=self["nn.dropout_level"],
-            epochs=self["nn.epochs"],
-            batch_size=self["nn.batch_size"],
-            learning_rate=self["nn.learning_rate"],
-            beta1=self["nn.beta1"],
-            beta2=self["nn.beta2"],
-            epsilon=self["nn.epsilon"],
-            validation_fraction=self["nn.validation_fraction"],
-            seed=self["nn.seed"],
-        )
+        return self._view("nn", num_categories=num_categories,
+                          seq_len=self["data.seq_len"], embed_dims=embed_dims)
 
     def synth_config(self):
-        kwargs = {f.name: self[f"synth.{f.name}"] for f in fields(synth.SynthConfig)}
-        return synth.SynthConfig(**kwargs)
+        return self._view("synth")

@@ -1,5 +1,6 @@
 """Command-line surface: pipeline wiring, flags, provenance, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import repocat
-from repocat import cli, corpus, fileio
+from repocat import cli, corpus, fileio, runconfig
 
 
 def run(*argv):
@@ -210,6 +211,36 @@ def test_config_file_equals_flags(pipeline):
     assert run("--config", cfg_path, "embed", "train", pipeline["train"],
                "--strategy", "code-description", "-o", out) == 0
     assert out.read_bytes() == pipeline["emb_cd"].read_bytes()
+
+
+def test_precedence_defaults_seed_file_flags(pipeline):
+    cfg_path = pipeline["work"] / "split.cfg"
+    cfg_path.write_text("split.seed = 7\nsplit.holdout_per_category = 2\n")
+    prefix = pipeline["work"] / "split_prec"
+    assert run("--seed", 3, "--config", cfg_path, "dataset", "split",
+               pipeline["data"], "--holdout-per-cat", 1, "--per-cat", 20,
+               "-o", prefix) == 0
+    _, meta = corpus.read_token_dataset(f"{prefix}.train.jsonl")
+    assert meta["cfg.split.seed"] == 7  # the file wins over --seed
+    assert meta["cfg.split.holdout_per_category"] == 1  # a flag wins over the file
+    assert meta["cfg.glove.seed"] == 3  # --seed wins over the default
+    assert meta["cfg.split.per_category_count"] == 20
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield sub
+                yield from _subparsers(sub)
+
+
+def test_every_dotted_dest_is_a_config_key():
+    parser = cli._build_parser()
+    dests = [action.dest for p in (parser, *_subparsers(parser))
+             for action in p._actions if "." in action.dest]
+    assert len(dests) == 26  # one per per-command flag that sets a key
+    assert set(dests) <= set(runconfig.DEFAULTS)
 
 
 def test_config_file_unknown_key(pipeline, capsys):
