@@ -24,6 +24,7 @@ not finite or exceeds DIVERGENCE_FACTOR times the initial loss: too large a
 step or chunk makes the loss blow up while it is still finite.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -88,51 +89,66 @@ def embedding_sentences(records, strategy):
 
 
 class CooccurrenceTable:
-    """Sparse (target id, left-context id) -> weighted count."""
+    """Sparse (target id, left-context id) -> weighted count, held as three
+    parallel arrays sorted by (target, context)."""
 
-    def __init__(self, counts=None):
-        self.counts = dict(counts or {})
+    def __init__(self, targets, contexts, values):
+        self.targets = targets
+        self.contexts = contexts
+        self.values = values
 
     def __len__(self):
-        return len(self.counts)
+        return len(self.values)
 
     def __getitem__(self, pair):
-        return self.counts.get(pair, 0.0)
+        target, context = pair
+        lo, hi = np.searchsorted(self.targets, (target, target + 1))
+        at = lo + int(np.searchsorted(self.contexts[lo:hi], context))
+        if at < hi and self.contexts[at] == context:
+            return float(self.values[at])
+        return 0.0
+
+    @property
+    def counts(self):
+        """The table as a {(target, context): count} dict."""
+        pairs = zip(self.targets.tolist(), self.contexts.tolist())
+        return dict(zip(pairs, self.values.tolist()))
 
     def to_arrays(self):
         """Sorted (targets, contexts, counts) arrays for training."""
-        if not self.counts:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.float64),
-            )
-        keys = sorted(self.counts)
-        ii = np.array([k[0] for k in keys], dtype=np.int64)
-        jj = np.array([k[1] for k in keys], dtype=np.int64)
-        xx = np.array([self.counts[k] for k in keys], dtype=np.float64)
-        return ii, jj, xx
+        return self.targets, self.contexts, self.values
 
 
 def build_cooccurrence(sentences, config):
-    """Count left-context co-occurrences over id-encoded sentences."""
+    """Count left-context co-occurrences over id-encoded sentences.
+
+    For each offset j the tokens of all sentences, laid end to end, are
+    paired with the tokens j places to their left; pairs that stay inside
+    one sentence are encoded as target * base + context and counted with
+    np.unique.  Summing the offsets' weights per key gives the entries
+    already in sorted (target, context) order.
+    """
     config.validate()
-    window = config.window
-    weighted = config.distance_weighting
-    counts = {}
-    for sentence in sentences:
-        n = len(sentence)
-        for t in range(n):
-            target = int(sentence[t])
-            jmax = min(window, t)
-            for j in range(1, jmax + 1):
-                key = (target, int(sentence[t - j]))
-                add = 1.0 / j if weighted else 1.0
-                if key in counts:
-                    counts[key] += add
-                else:
-                    counts[key] = add
-    return CooccurrenceTable(counts)
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    tokens = np.fromiter(
+        itertools.chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum())
+    )
+    if tokens.min(initial=0) < 0:
+        raise ValueError("token ids must be non-negative")
+    base = int(tokens.max(initial=0)) + 1
+    pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    keys = [np.zeros(0, dtype=np.int64)]
+    weights = [np.zeros(0)]
+    for j in range(1, min(config.window, int(pos.max(initial=0))) + 1):
+        inside = pos[j:] >= j
+        offset_keys, n = np.unique(
+            tokens[j:][inside] * base + tokens[:-j][inside], return_counts=True
+        )
+        keys.append(offset_keys)
+        weights.append(n / (j if config.distance_weighting else 1))
+    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.bincount(slot, weights=np.concatenate(weights), minlength=len(keys))
+    return CooccurrenceTable(keys // base, keys % base, values)
 
 
 def train_glove(table, vocab_size, config, chunk=16384):

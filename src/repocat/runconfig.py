@@ -133,7 +133,11 @@ class RunConfig:
                 key = key.strip()
                 if key not in DEFAULTS:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                self.set(key, parse_value(key, text))
+                try:
+                    value = parse_value(key, text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                self.set(key, value)
         return self
 
     def meta(self):

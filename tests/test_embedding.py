@@ -59,6 +59,23 @@ class TestCooccurrence:
             for key, want in oracle.items():
                 assert abs(table[key] - want) <= 1e-12
 
+    def test_no_pairs_gives_empty_table(self):
+        for sentences in ([], [[]], [[5], [], [7]]):
+            table = embedding.build_cooccurrence(sentences, GloveConfig(window=3))
+            assert len(table) == 0 and table.counts == {}
+            assert table[(5, 7)] == 0.0
+            assert [a.size for a in table.to_arrays()] == [0, 0, 0]
+
+    def test_arrays_sorted_by_target_then_context(self):
+        table = embedding.build_cooccurrence([[9, 2, 30, 2, 9]], GloveConfig(window=4))
+        ii, jj, xx = table.to_arrays()
+        assert list(zip(ii.tolist(), jj.tolist())) == sorted(table.counts)
+        assert xx.tolist() == [table.counts[k] for k in sorted(table.counts)]
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            embedding.build_cooccurrence([[2, -1]], GloveConfig(window=2))
+
     def test_distance_weighting_off(self):
         cfg = GloveConfig(window=3, distance_weighting=False)
         table = embedding.build_cooccurrence([[2, 3, 4]], cfg)

@@ -391,6 +391,40 @@ class TestFit:
             M.fit(make_model(cfg), ex)
 
 
+class TestTrainingPrecision:
+    def test_float32_model_computes_in_float32(self):
+        m = make_model(tiny_config(dropout_level=0.5), seed=7)
+        params32 = {n: v.astype(np.float32) for n, v in m.params.items()}
+        m32 = M.ClassifierModel(m.config, m.embedding, params32)
+        rng = np.random.default_rng(7)
+        ids = rng.integers(2, 12, size=(4, m.config.seq_len))
+        onehot = np.zeros((4, 3))
+        onehot[np.arange(4), rng.integers(0, 3, 4)] = 1.0
+        _, cache = M._forward(m32, ids, training=True, rng=rng, want_cache=True)
+        for name, arr in cache.items():
+            if name != "pool_mask":
+                assert arr.dtype == np.float32, name
+        grads = M._backward(m32, cache, onehot)
+        for name, grad in grads.items():
+            assert grad.dtype == np.float32, name
+        M.adamax_update(m32, grads)
+        for store in (m32.params, m32.opt_m, m32.opt_u):
+            assert {v.dtype for v in store.values()} == {np.dtype(np.float32)}
+
+    def test_fit_returns_float64_widened_from_training_dtype(self):
+        cfg = tiny_config(num_categories=2, epochs=2, batch_size=16, seed=4)
+        m = make_model(cfg, seed=4)
+        before = m.snapshot_params()
+        best = M.fit(m, synthetic_examples(cfg, seed=4))
+        assert best.embedding is m.embedding
+        assert best.embedding.dtype == np.float64
+        for n in M.PARAM_NAMES:
+            got = best.params[n]
+            assert got.dtype == np.float64, n
+            np.testing.assert_array_equal(got.astype(M.TRAIN_DTYPE).astype(np.float64), got)
+            np.testing.assert_array_equal(m.params[n], before[n])  # caller's copy untouched
+
+
 class TestActivations:
     def test_shape_and_nonnegativity(self):
         m = make_model()

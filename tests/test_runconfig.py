@@ -177,6 +177,14 @@ def test_from_file_errors_carry_line_numbers(tmp_path):
         RunConfig().from_file(bad_value)
 
 
+def test_from_file_bad_value_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# fine\nnn.epochs = soon\n")
+    want = r"bad\.cfg:2: nn\.epochs: expected an integer, got 'soon'"
+    with pytest.raises(ValueError, match=want):
+        RunConfig().from_file(path)
+
+
 def test_meta_prefixes_every_key():
     cfg = RunConfig()
     meta = cfg.meta()
