@@ -66,6 +66,9 @@ def load_checkpoint(path):
     arrays = {}
     for entry in header.get("arrays", []):
         lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
+        if (entry["dtype"] != "<f8" or lo < 0
+                or entry["nbytes"] != 8 * int(np.prod(entry["shape"]))):
+            raise ValueError(f"{path}: corrupt array entry {entry!r}")
         if hi > len(body):
             raise ValueError(f"{path}: truncated array {entry['name']!r}")
         arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(entry["shape"])

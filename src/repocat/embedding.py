@@ -12,9 +12,11 @@ Training minimizes the weighted least-squares objective
     sum_ij f(X_ij) (w_i . w~_j + b_i + b~_j - log X_ij)^2,
     f(x) = (x / x_max)^alpha for x < x_max, else 1
 
-with AdaGrad (per-parameter squared-gradient accumulators initialized to 1).
-The published vector for each token is w + w~; rows 0 (padding) and
-1 (unknown) stay exactly zero and never train.
+with AdaGrad (per-parameter squared-gradient accumulators initialized to 1)
+on one augmented matrix per side, W = [w | b | 1] and Wt = [w~ | 1 | b~]:
+the row dot product W_i . Wt_j is w_i . w~_j + b_i + b~_j, and the constant
+columns get zero gradient.  The published vector for each token is w + w~;
+rows 0 (padding) and 1 (unknown) stay exactly zero and never train.
 
 For speed the nonzero entries are processed in seeded-shuffled chunks with
 scatter-add updates; gradients within a chunk are taken at chunk-start
@@ -171,28 +173,30 @@ def train_glove(table, vocab_size, config, chunk=16384):
     def init(shape):
         return (rng.random(shape) - 0.5) / (dims + 1)
 
-    w = init((vocab_size, dims))
-    wt = init((vocab_size, dims))
-    b = init(vocab_size)
-    bt = init(vocab_size)
-    for arr in (w, wt, b, bt):
-        arr[:2] = 0.0
-    grad_w = np.ones_like(w)
-    grad_wt = np.ones_like(wt)
-    grad_b = np.ones_like(b)
-    grad_bt = np.ones_like(bt)
+    W = np.ones((vocab_size, dims + 2))
+    Wt = np.ones((vocab_size, dims + 2))
+    W[:, :dims] = init((vocab_size, dims))
+    Wt[:, :dims] = init((vocab_size, dims))
+    W[:, dims] = init(vocab_size)
+    Wt[:, dims + 1] = init(vocab_size)
+    W[:2] = Wt[:2] = 0.0
+    GW = np.ones_like(W)
+    GWt = np.ones_like(Wt)
+
+    def publish():
+        published = W[:, :dims] + Wt[:, :dims]
+        published[:2] = 0.0
+        return published
 
     if n_entries == 0:
-        published = w + wt
-        published[:2] = 0.0
-        return published, [0.0]
+        return publish(), [0.0]
 
     logx = np.log(xx)
     fx = np.minimum((xx / config.x_max) ** config.alpha, 1.0)
     lr = config.learning_rate
 
     def mean_loss():
-        diff = np.einsum("nd,nd->n", w[ii], wt[jj]) + b[ii] + bt[jj] - logx
+        diff = np.einsum("nd,nd->n", W[ii], Wt[jj]) - logx
         return float(np.mean(0.5 * fx * diff * diff))
 
     losses = [mean_loss()]
@@ -202,20 +206,18 @@ def train_glove(table, vocab_size, config, chunk=16384):
         for lo in range(0, n_entries, chunk):
             sel = order[lo : lo + chunk]
             i_s, j_s = ii[sel], jj[sel]
-            wi, wj = w[i_s], wt[j_s]
-            diff = np.einsum("nd,nd->n", wi, wj) + b[i_s] + bt[j_s] - logx[sel]
+            wi, wj = W[i_s], Wt[j_s]
+            diff = np.einsum("nd,nd->n", wi, wj) - logx[sel]
             fdiff = fx[sel] * diff
             total += float(0.5 * fdiff @ diff)
-            gw = fdiff[:, None] * wj
-            gwt = fdiff[:, None] * wi
-            np.add.at(w, i_s, -lr * gw / np.sqrt(grad_w[i_s]))
-            np.add.at(wt, j_s, -lr * gwt / np.sqrt(grad_wt[j_s]))
-            np.add.at(b, i_s, -lr * fdiff / np.sqrt(grad_b[i_s]))
-            np.add.at(bt, j_s, -lr * fdiff / np.sqrt(grad_bt[j_s]))
-            np.add.at(grad_w, i_s, gw * gw)
-            np.add.at(grad_wt, j_s, gwt * gwt)
-            np.add.at(grad_b, i_s, fdiff * fdiff)
-            np.add.at(grad_bt, j_s, fdiff * fdiff)
+            gi = fdiff[:, None] * wj
+            gj = fdiff[:, None] * wi
+            gi[:, dims + 1] = 0.0  # the constant columns
+            gj[:, dims] = 0.0
+            np.add.at(W, i_s, -lr * gi / np.sqrt(GW[i_s]))
+            np.add.at(Wt, j_s, -lr * gj / np.sqrt(GWt[j_s]))
+            np.add.at(GW, i_s, gi * gi)
+            np.add.at(GWt, j_s, gj * gj)
         iteration_loss = total / n_entries
         if not iteration_loss <= DIVERGENCE_FACTOR * losses[0]:  # also catches nan
             raise FloatingPointError(
@@ -226,9 +228,7 @@ def train_glove(table, vocab_size, config, chunk=16384):
         logger.info("glove iteration %d/%d loss %.6f",
                     iteration + 1, config.iterations, iteration_loss)
 
-    published = w + wt
-    published[:2] = 0.0
-    return published, losses
+    return publish(), losses
 
 
 def nearest_neighbors(matrix, vocab, token, k=10):

@@ -15,22 +15,16 @@ import tempfile
 
 
 def atomic_write_text(path, text):
-    """Write text to path atomically (temp file + os.replace)."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write text to path atomically as UTF-8, newlines untranslated."""
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path, data):
     """Write bytes to path atomically (temp file + os.replace)."""
+    _atomic_write(path, data)
+
+
+def _atomic_write(path, data):
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")

@@ -68,7 +68,6 @@ class ClassifierConfig:
     dropout_level: float = 0.5
     epochs: int = 3
     batch_size: int = 128
-    optimizer: str = "adamax"
     learning_rate: float = 0.002
     beta1: float = 0.9
     beta2: float = 0.999
@@ -97,8 +96,6 @@ class ClassifierConfig:
             raise ValueError("pool_size too large: pooled sequence would be empty")
         if not 0.0 <= self.dropout_level < 1.0:
             raise ValueError(f"dropout_level must be in [0, 1), got {self.dropout_level}")
-        if self.optimizer != "adamax":
-            raise ValueError(f"unsupported optimizer: {self.optimizer!r}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
         return self
@@ -547,7 +544,11 @@ def from_checkpoint(meta, arrays, path):
 
     if meta.get("kind") != "nn":
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'nn'")
-    config = ClassifierConfig(**meta["config"])
+    config = dict(meta["config"])
+    # older headers name the optimizer, which is always Adamax
+    if config.pop("optimizer", "adamax") != "adamax":
+        raise ValueError(f"{path}: unsupported optimizer {meta['config']['optimizer']!r}")
+    config = ClassifierConfig(**config)
     vocab = Vocabulary(meta["vocab_tokens"])
     if vocab.sha256() != meta.get("vocab_sha256"):
         raise ValueError(f"{path}: vocabulary hash mismatch; checkpoint corrupt")

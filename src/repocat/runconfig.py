@@ -29,8 +29,8 @@ _STAGES = {
     "synth": synth.SynthConfig(),
 }
 # ClassifierConfig fields no key sets: the data gives num_categories and
-# embed_dims, seq_len is data.seq_len, and the optimizer is always Adamax.
-_FIXED = {"num_categories", "seq_len", "embed_dims", "optimizer"}
+# embed_dims, and seq_len is data.seq_len.
+_FIXED = {"num_categories", "seq_len", "embed_dims"}
 
 
 def _stage_fields(prefix):

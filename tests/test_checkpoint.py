@@ -1,5 +1,8 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,3 +78,18 @@ def test_loaded_arrays_are_writable_copies(tmp_path):
     _, arrays = checkpoint.load_checkpoint(path)
     arrays["w"][0, 0] = 5.0  # must not raise (frombuffer alone is read-only)
     assert arrays["w"][0, 0] == 5.0
+
+
+@pytest.mark.parametrize("entry", [
+    {"shape": [3, 3], "dtype": "<f8", "offset": 0, "nbytes": 48},  # 6 values for 9 slots
+    {"shape": [2], "dtype": "<f8", "offset": -8, "nbytes": 16},
+    {"shape": [2], "dtype": "<f4", "offset": 0, "nbytes": 16},  # only <f8 is ever written
+])
+def test_corrupt_array_entry_rejected(tmp_path, entry):
+    header = json.dumps({"format": 1, "kind": "nn", "arrays": [dict(entry, name="w")]})
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(
+        checkpoint.MAGIC + struct.pack("<Q", len(header)) + header.encode() + bytes(48)
+    )
+    with pytest.raises(ValueError, match=r"bad\.ckpt: corrupt array entry"):
+        checkpoint.load_checkpoint(path)

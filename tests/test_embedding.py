@@ -116,6 +116,78 @@ def _toy_table(seed=0, vocab_size=30, n_sentences=40):
     return embedding.build_cooccurrence(sentences, GloveConfig(window=5)), sentences
 
 
+def oracle_glove(table, vocab_size, config, chunk):
+    """Per-entry reference for train_glove on four separate arrays.
+
+    Vectors w, w~ and biases b, b~ each have an AdaGrad accumulator
+    initialized to 1.  Every entry of a chunk takes its loss and gradients
+    at the chunk-start parameters and divides by the chunk-start
+    accumulators; the seeded draws (w, w~, b, b~, then one permutation per
+    iteration) are those of train_glove.
+    """
+    dims, lr = config.dims, config.learning_rate
+    entries = [
+        (i, j, x) for i, j, x in zip(*(a.tolist() for a in table.to_arrays()))
+        if 2 <= i < vocab_size and 2 <= j < vocab_size
+    ]
+    rng = np.random.default_rng(config.seed)
+    params = [
+        (rng.random(shape) - 0.5) / (dims + 1)
+        for shape in ((vocab_size, dims), (vocab_size, dims), vocab_size, vocab_size)
+    ]
+    for arr in params:
+        arr[:2] = 0.0
+    w, wt, b, bt = params
+    grads = [np.ones_like(arr) for arr in params]
+    gw, gwt, gb, gbt = grads
+
+    def weight(x):
+        return min((x / config.x_max) ** config.alpha, 1.0)
+
+    def loss(i, j, x):
+        diff = float(w[i] @ wt[j]) + b[i] + bt[j] - np.log(x)
+        return diff, 0.5 * weight(x) * diff * diff
+
+    losses = [sum(loss(*e)[1] for e in entries) / len(entries)]
+    for _ in range(config.iterations):
+        order = rng.permutation(len(entries))
+        total = 0.0
+        for lo in range(0, len(entries), chunk):
+            start = [arr.copy() for arr in params + grads]
+            w0, wt0, b0, bt0, gw0, gwt0, gb0, gbt0 = start
+            for k in order[lo : lo + chunk]:
+                i, j, x = entries[k]
+                diff = float(w0[i] @ wt0[j]) + b0[i] + bt0[j] - np.log(x)
+                fdiff = weight(x) * diff
+                total += 0.5 * fdiff * diff
+                g_w, g_wt = fdiff * wt0[j], fdiff * w0[i]
+                w[i] -= lr * g_w / np.sqrt(gw0[i])
+                wt[j] -= lr * g_wt / np.sqrt(gwt0[j])
+                b[i] -= lr * fdiff / np.sqrt(gb0[i])
+                bt[j] -= lr * fdiff / np.sqrt(gbt0[j])
+                gw[i] += g_w * g_w
+                gwt[j] += g_wt * g_wt
+                gb[i] += fdiff * fdiff
+                gbt[j] += fdiff * fdiff
+        losses.append(total / len(entries))
+    published = w + wt
+    published[:2] = 0.0
+    return published, losses
+
+
+class TestGloveOracle:
+    @pytest.mark.parametrize("iterations,chunk", [(4, 7), (4, 100000), (0, 7)])
+    def test_matches_per_entry_reference(self, iterations, chunk):
+        table, _ = _toy_table(seed=6)
+        assert len(table) == 393
+        cfg = GloveConfig(window=5, dims=8, iterations=iterations, seed=6)
+        matrix, losses = embedding.train_glove(table, 30, cfg, chunk=chunk)
+        want_matrix, want_losses = oracle_glove(table, 30, cfg, chunk)
+        assert len(losses) == len(want_losses) == iterations + 1
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(matrix, want_matrix, rtol=0, atol=1e-12)
+
+
 class TestTrainGlove:
     def test_loss_decreases(self):
         table, _ = _toy_table()

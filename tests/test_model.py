@@ -67,7 +67,6 @@ class TestConfig:
         assert cfg.pooled_len == 29
         assert (cfg.filters, cfg.lstm_units, cfg.hide_u) == (250, 100, 512)
         assert cfg.dropout_level == 0.5
-        assert cfg.optimizer == "adamax"
         assert (cfg.learning_rate, cfg.beta1, cfg.beta2) == (0.002, 0.9, 0.999)
         assert cfg.epochs == 3 and cfg.batch_size == 128
 
@@ -80,8 +79,6 @@ class TestConfig:
             tiny_config(pool_size=50).validate()
         with pytest.raises(ValueError):
             tiny_config(dropout_level=1.0).validate()
-        with pytest.raises(ValueError):
-            tiny_config(optimizer="sgd").validate()
 
 
 class TestInit:
@@ -479,6 +476,31 @@ class TestModelIO:
         meta["vocab_sha256"] = "0" * 64
         C.save_checkpoint(path, meta, arrays)
         with pytest.raises(ValueError, match="hash"):
+            M.load_model(path)
+
+    def test_header_naming_the_optimizer_loads(self, tmp_path):
+        # checkpoints written while ClassifierConfig had an `optimizer` field
+        from repocat import checkpoint as C
+        from repocat import tokens as T
+
+        cfg = tiny_config()
+        m = make_model(cfg, seed=8)
+        vocab = T.build_vocabulary([[f"tok{i}" for i in range(10)]])
+        path = tmp_path / "model.ckpt"
+        M.save_model(path, m, vocab, ["a", "b", "c"])
+        meta, arrays = C.load_checkpoint(path)
+        meta["config"]["optimizer"] = "adamax"
+        C.save_checkpoint(path, meta, arrays)
+        loaded, _, _, loaded_meta = M.load_model(path)
+        assert loaded.config == cfg
+        assert loaded_meta["config"]["optimizer"] == "adamax"
+        ids = np.random.default_rng(2).integers(0, 12, size=(5, cfg.seq_len))
+        np.testing.assert_array_equal(
+            M.predict_proba(m, ids), M.predict_proba(loaded, ids)
+        )
+        meta["config"]["optimizer"] = "sgd"
+        C.save_checkpoint(path, meta, arrays)
+        with pytest.raises(ValueError, match=r"model\.ckpt: unsupported optimizer 'sgd'"):
             M.load_model(path)
 
     def test_wrong_kind_rejected(self, tmp_path):

@@ -210,7 +210,6 @@ def test_classifier_view_takes_runtime_shape_args():
     assert ccfg.num_categories == 3
     assert ccfg.embed_dims == 16
     assert ccfg.seq_len == 40
-    assert ccfg.optimizer == "adamax"
     assert ccfg.epochs == 1 and ccfg.seed == 4
     assert ccfg.filters == model.ClassifierConfig(num_categories=3).filters
 
