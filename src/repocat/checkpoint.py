@@ -14,6 +14,7 @@ restored bit-exactly.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import fileio
 
 MAGIC = b"RCCHKPT1"
+_ENTRY_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
 
 
 def save_checkpoint(path, meta, arrays):
@@ -48,6 +50,23 @@ def save_checkpoint(path, meta, arrays):
     fileio.atomic_write_bytes(path, payload)
 
 
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _well_formed(entry):
+    """True for a directory entry as save_checkpoint writes it: a string
+    name, a float64 dtype, a shape of non-negative integers, and an integer
+    offset and byte count that fit the shape."""
+    if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
+        return False
+    shape = entry["shape"]
+    return (isinstance(entry["name"], str) and entry["dtype"] == "<f8"
+            and isinstance(shape, list) and all(map(_is_count, shape))
+            and _is_count(entry["offset"]) and _is_count(entry["nbytes"])
+            and entry["nbytes"] == 8 * math.prod(shape))
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (meta, {name: float64 ndarray})."""
     with open(path, "rb") as fh:
@@ -65,10 +84,9 @@ def load_checkpoint(path):
     body = raw[start + header_len :]
     arrays = {}
     for entry in header.get("arrays", []):
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if (entry["dtype"] != "<f8" or lo < 0
-                or entry["nbytes"] != 8 * int(np.prod(entry["shape"]))):
+        if not _well_formed(entry):
             raise ValueError(f"{path}: corrupt array entry {entry!r}")
+        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
         if hi > len(body):
             raise ValueError(f"{path}: truncated array {entry['name']!r}")
         arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(entry["shape"])

@@ -18,9 +18,15 @@ the row dot product W_i . Wt_j is w_i . w~_j + b_i + b~_j, and the constant
 columns get zero gradient.  The published vector for each token is w + w~;
 rows 0 (padding) and 1 (unknown) stay exactly zero and never train.
 
-For speed the nonzero entries are processed in seeded-shuffled chunks with
-scatter-add updates; gradients within a chunk are taken at chunk-start
-parameters rather than strictly sequentially.  Deterministic for a fixed
+For speed the nonzero entries are processed in seeded-shuffled chunks.
+Gradients within a chunk are taken at chunk-start parameters rather than
+strictly sequentially, and every update a chunk makes to a row divides by
+the row's chunk-start accumulator, so each side takes one step per chunk on
+the rows the chunk touches: the chunk's gradients and squared gradients are
+summed per row (np.bincount), then W -= lr * sum(g) / sqrt(G) and
+G += sum(g^2) on those rows.  The cost of a chunk follows the chunk, not the
+vocabulary.  The loss at initialization is evaluated chunk by chunk too, so
+no step gathers more than one chunk's rows.  Deterministic for a fixed
 seed.  Training stops with FloatingPointError when an iteration's loss is
 not finite or exceeds DIVERGENCE_FACTOR times the initial loss: too large a
 step or chunk makes the loss blow up while it is still finite.
@@ -196,8 +202,23 @@ def train_glove(table, vocab_size, config, chunk=16384):
     lr = config.learning_rate
 
     def mean_loss():
-        diff = np.einsum("nd,nd->n", W[ii], Wt[jj]) - logx
-        return float(np.mean(0.5 * fx * diff * diff))
+        total = 0.0
+        for lo in range(0, n_entries, chunk):
+            at = slice(lo, lo + chunk)
+            diff = np.einsum("nd,nd->n", W[ii[at]], Wt[jj[at]]) - logx[at]
+            total += float(0.5 * (fx[at] * diff) @ diff)
+        return total / n_entries
+
+    def adagrad_step(M, G, rows, g):
+        """One chunk's step on the rows of M it touches, and on G."""
+        touched, slot = np.unique(rows, return_inverse=True)
+        keys = np.add.outer(slot * (dims + 2), np.arange(dims + 2)).ravel()
+
+        def row_sums(values):  # every slot occurs, so the length is exact
+            return np.bincount(keys, weights=values.ravel()).reshape(-1, dims + 2)
+
+        M[touched] -= lr * row_sums(g) / np.sqrt(G[touched])
+        G[touched] += row_sums(g * g)
 
     losses = [mean_loss()]
     for iteration in range(config.iterations):
@@ -214,10 +235,8 @@ def train_glove(table, vocab_size, config, chunk=16384):
             gj = fdiff[:, None] * wi
             gi[:, dims + 1] = 0.0  # the constant columns
             gj[:, dims] = 0.0
-            np.add.at(W, i_s, -lr * gi / np.sqrt(GW[i_s]))
-            np.add.at(Wt, j_s, -lr * gj / np.sqrt(GWt[j_s]))
-            np.add.at(GW, i_s, gi * gi)
-            np.add.at(GWt, j_s, gj * gj)
+            adagrad_step(W, GW, i_s, gi)
+            adagrad_step(Wt, GWt, j_s, gj)
         iteration_loss = total / n_entries
         if not iteration_loss <= DIVERGENCE_FACTOR * losses[0]:  # also catches nan
             raise FloatingPointError(

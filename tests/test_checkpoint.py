@@ -80,16 +80,37 @@ def test_loaded_arrays_are_writable_copies(tmp_path):
     assert arrays["w"][0, 0] == 5.0
 
 
-@pytest.mark.parametrize("entry", [
-    {"shape": [3, 3], "dtype": "<f8", "offset": 0, "nbytes": 48},  # 6 values for 9 slots
-    {"shape": [2], "dtype": "<f8", "offset": -8, "nbytes": 16},
-    {"shape": [2], "dtype": "<f4", "offset": 0, "nbytes": 16},  # only <f8 is ever written
-])
-def test_corrupt_array_entry_rejected(tmp_path, entry):
-    header = json.dumps({"format": 1, "kind": "nn", "arrays": [dict(entry, name="w")]})
+def _assert_entry_rejected(tmp_path, entry):
+    header = json.dumps({"format": 1, "kind": "nn", "arrays": [entry]})
     path = tmp_path / "bad.ckpt"
     path.write_bytes(
         checkpoint.MAGIC + struct.pack("<Q", len(header)) + header.encode() + bytes(48)
     )
     with pytest.raises(ValueError, match=r"bad\.ckpt: corrupt array entry"):
         checkpoint.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("entry", [
+    {"shape": [3, 3], "dtype": "<f8", "offset": 0, "nbytes": 48},  # 6 values for 9 slots
+    {"shape": [2], "dtype": "<f8", "offset": -8, "nbytes": 16},
+    {"shape": [2], "dtype": "<f4", "offset": 0, "nbytes": 16},  # only <f8 is ever written
+])
+def test_corrupt_array_entry_rejected(tmp_path, entry):
+    _assert_entry_rejected(tmp_path, dict(entry, name="w"))
+
+
+GOOD_ENTRY = {"name": "w", "shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 16}
+
+
+@pytest.mark.parametrize("entry", [
+    *(pytest.param({k: v for k, v in GOOD_ENTRY.items() if k != key}, id=f"no-{key}")
+      for key in GOOD_ENTRY),
+    pytest.param(dict(GOOD_ENTRY, offset="0"), id="string-offset"),
+    pytest.param(dict(GOOD_ENTRY, nbytes=16.0), id="float-nbytes"),
+    pytest.param(dict(GOOD_ENTRY, shape="2"), id="string-shape"),
+    pytest.param(dict(GOOD_ENTRY, shape=[2.0]), id="float-dimension"),
+    pytest.param(dict(GOOD_ENTRY, shape=[-1, -2]), id="negative-dimensions"),
+    pytest.param(dict(GOOD_ENTRY, shape=[2, -1], nbytes=-16), id="negative-nbytes"),
+])
+def test_malformed_array_entry_names_file(tmp_path, entry):
+    _assert_entry_rejected(tmp_path, entry)

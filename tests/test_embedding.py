@@ -1,5 +1,7 @@
 """Co-occurrence counting, embedding training, IO, and neighbor queries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,50 @@ class TestTrainGlove:
         assert len(losses) == 9
         assert max(losses) <= losses[0] * (1 + 1e-12)
         assert losses[-1] < losses[0] / 10
+
+    def test_initial_loss_needs_chunk_sized_memory(self):
+        # 97,000 entries: one gather of every entry's (dims+2)-wide rows is
+        # 79 MB; the loss is taken a chunk (16,384 entries) at a time
+        rng = np.random.default_rng(8)
+        vocab_size, dims = 400, 100
+        side = vocab_size - 2
+        keys = np.sort(rng.choice(side * side, size=97_000, replace=False))
+        table = embedding.CooccurrenceTable(
+            keys // side + 2, keys % side + 2, rng.uniform(0.5, 20.0, size=len(keys))
+        )
+        cfg = GloveConfig(dims=dims, iterations=0, seed=8)
+        losses, peak = _traced_train_glove(table, vocab_size, cfg)
+        assert np.isfinite(losses[0])
+        assert peak < len(table) * (dims + 2) * 8 / 2
+
+    def test_step_memory_follows_the_chunk_not_the_vocabulary(self):
+        # ~2,000 entries over 50,000 tokens: a step that spanned every row
+        # would allocate several (vocab_size, dims+2) arrays (4.8 MB each)
+        rng = np.random.default_rng(9)
+        vocab_size, dims = 50_000, 10
+        ids = rng.integers(2, vocab_size, size=(2, 2_000))
+        keys = np.unique(ids[0] * vocab_size + ids[1])
+        table = embedding.CooccurrenceTable(
+            keys // vocab_size, keys % vocab_size, rng.uniform(0.5, 20.0, size=len(keys))
+        )
+        peaks = []
+        for iterations in (0, 1):
+            cfg = GloveConfig(dims=dims, iterations=iterations, seed=9)
+            losses, peak = _traced_train_glove(table, vocab_size, cfg)
+            assert len(losses) == iterations + 1
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < vocab_size * (dims + 2) * 8 / 2
+
+
+def _traced_train_glove(table, vocab_size, cfg):
+    """(losses, peak traced bytes) of one train_glove call."""
+    tracemalloc.start()
+    try:
+        _, losses = embedding.train_glove(table, vocab_size, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return losses, peak
 
 
 class TestEmbeddingTextIO:
