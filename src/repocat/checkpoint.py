@@ -81,6 +81,10 @@ def load_checkpoint(path):
         header = json.loads(raw[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
+        raise ValueError(
+            f"{path}: corrupt checkpoint header: expected an object with an 'arrays' list"
+        )
     body = raw[start + header_len :]
     arrays = {}
     for entry in header.get("arrays", []):

@@ -1,14 +1,23 @@
 """Function-level classifier: frozen embedding -> conv -> maxpool -> LSTM
 -> dense -> softmax, trained with Adamax, in numpy.
 
-`fit` trains a TRAIN_DTYPE (float32) working copy of the parameters and
-optimizer state and returns float64 parameters (the trained values widened
-exactly).  Everything else runs in the dtype of `model.params`, which is
-float64 for a fresh, fitted or loaded model: inference, `conv_activations`
-and `gradient_check`.  The embedding stays the caller's float64 array; the
-forward pass casts the looked-up rows to the parameters' dtype.
+`fit` trains a TRAIN_DTYPE (float32) working copy of the parameters, the
+optimizer state and the embedding table (cast once per `fit`), and returns
+float64 parameters (the trained values widened exactly) with the caller's
+float64 embedding.  Everything else runs in the dtype of `model.params`,
+which is float64 for a fresh, fitted or loaded model: inference,
+`conv_activations` and `gradient_check`.  The forward pass casts looked-up
+rows only when the table's dtype differs from the parameters'.
 
-Architecture at defaults (seq_len 60, kernel 3, stride 1, pool 2):
+The forward and backward passes run time-major: the lookup is
+`embedding[ids.T]`, and the conv, pool and LSTM activations are
+(steps, batch, width), so every time step is one contiguous block and the
+pool reads whole-step slabs.  The sigmoid gates i, f and o are computed as
+0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight and bias
+columns (exact in binary), so one tanh per step covers all four gates.
+
+Architecture at defaults (seq_len 60, kernel 3, stride 1, pool 2), shapes
+per sequence:
 
     ids (60,) -> embed lookup (60, 100)          [frozen, never trained]
              -> valid conv, 250 filters, ReLU    (58, 250)
@@ -41,7 +50,7 @@ logger = logging.getLogger(__name__)
 PREDICT_ROWS = 16
 
 # Training precision.  A batch-128 train step at the stock shapes took
-# 84 ms in float32 against 208 ms in float64 (best of 9; 2-CPU Xeon,
+# 76 ms in float32 against 159 ms in float64 (best of 9; 2-CPU Xeon,
 # NumPy 2.4.6, OpenBLAS): the GEMMs run at twice the rate and the
 # elementwise LSTM work moves half the bytes.
 TRAIN_DTYPE = np.float32
@@ -117,12 +126,14 @@ class ClassifierModel:
         return {k: v.copy() for k, v in self.params.items()}
 
     def astype(self, dtype):
-        """Copy whose parameters and Adamax state are `dtype`; the embedding
-        and history are shared."""
+        """Copy whose parameters, Adamax state and embedding table are
+        `dtype`; the history, and an embedding already in `dtype`, are
+        shared."""
         def cast(arrays):
             return {k: v.astype(dtype) for k, v in arrays.items()}
 
-        copy = ClassifierModel(self.config, self.embedding, cast(self.params), self.history)
+        embedding = self.embedding.astype(dtype, copy=False)
+        copy = ClassifierModel(self.config, embedding, cast(self.params), self.history)
         copy.opt_m, copy.opt_u, copy.opt_t = cast(self.opt_m), cast(self.opt_u), self.opt_t
         return copy
 
@@ -161,15 +172,6 @@ def init_model(config, embedding, seed=None):
     return ClassifierModel(config, embedding, params)
 
 
-def _sigmoid_(x):
-    """Logistic sigmoid in place, as 0.5 * (1 + tanh(x / 2)): one ufunc
-    pass with no overflow branch."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
-
-
 def softmax(logits):
     """Row-wise softmax of an (N, C) array."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -180,9 +182,11 @@ def softmax(logits):
 def _forward(model, ids, training=False, rng=None, want_cache=False):
     """Batched forward pass; ids is (B, seq_len) int.
 
-    Returns (probs, cache); cache is None unless want_cache.  Without a
-    cache, each intermediate is dropped as soon as the next layer has
-    consumed it, so peak memory is about two layers' activations.
+    Runs time-major: activations are (steps, B, width), so each time step is
+    one contiguous block.  Returns (probs, cache); cache is None unless
+    want_cache.  Without a cache, the conv and pool activations are dropped
+    as soon as the next layer has consumed them, so peak memory is about two
+    layers' activations.
     """
     cfg = model.config
     ids = np.asarray(ids)
@@ -196,62 +200,70 @@ def _forward(model, ids, training=False, rng=None, want_cache=False):
     T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
 
     dt = p["conv_w"].dtype
-    X = model.embedding[ids].astype(dt, copy=False)  # (B, L, D)
-    win = sliding_window_view(X, K, axis=1)[:, ::cfg.strides]  # (B, T, D, K)
-    win_flat = win.transpose(0, 1, 3, 2).reshape(B * T, K * D)
+    X = model.embedding[ids.T].astype(dt, copy=False)  # (L, B, D)
+    win = sliding_window_view(X, K, axis=0)[::cfg.strides]  # (T, B, D, K)
+    win_flat = win.transpose(0, 1, 3, 2).reshape(T * B, K * D)
     del X, win
     A = win_flat @ p["conv_w"].reshape(K * D, F)
     A += p["conv_b"]
-    np.maximum(A, 0.0, out=A)  # ReLU in place; backward masks with A > 0
-    A = A.reshape(B, T, F)
+    np.maximum(A, 0.0, out=A)  # ReLU in place
+    A = A.reshape(T, B, F)
     if not want_cache:
         del win_flat
 
-    usable = A[:, : T2 * PS, :].reshape(B, T2, PS, F)
-    P = usable.max(axis=2)  # (B, T2, F)
+    # pool window t2 covers steps t2*PS .. t2*PS+PS-1; slab k holds step k
+    # of every window, and steps from T2*PS on are cut
+    slabs = [A[k : T2 * PS : PS] for k in range(PS)]
+    P = slabs[0].copy()  # (T2, B, F)
+    for slab in slabs[1:]:
+        np.maximum(P, slab, out=P)
     pool_mask = None
     if want_cache:
         # the gradient goes to the first max of each window: clear every
         # later position that ties with one already taken
-        pool_mask = usable == P[:, :, None, :]
-        taken = pool_mask[:, :, 0].copy()
+        pool_mask = np.empty((PS, T2, B, F), dtype=bool)
+        np.equal(slabs[0], P, out=pool_mask[0])
+        taken = pool_mask[0].copy()
         for k in range(1, PS):
-            pool_mask[:, :, k] &= ~taken
-            taken |= pool_mask[:, :, k]
+            np.equal(slabs[k], P, out=pool_mask[k])
+            pool_mask[k] &= ~taken
+            taken |= pool_mask[k]
     else:
         del A
-    del usable
+    del slabs
 
+    # the sigmoid gates i, f, o are 0.5 * (1 + tanh(z / 2)); halving their
+    # weight and bias columns (exact in binary) lets one tanh per step cover
+    # all four gates
+    half = np.ones(4 * U, dtype=dt)
+    half[: 2 * U] = 0.5
+    half[3 * U :] = 0.5
+    wh = p["lstm_wh"] * half
     # input projection for every step at once; the loop turns each step's
-    # slice into that step's gate activations in place
-    G = (P.reshape(B * T2, F) @ p["lstm_wx"]).reshape(B, T2, 4 * U)
-    G += p["lstm_b"]
+    # block into that step's gate activations in place
+    G = (P.reshape(T2 * B, F) @ (p["lstm_wx"] * half)).reshape(T2, B, 4 * U)
+    G += p["lstm_b"] * half
     if not want_cache:
         del P
-    h = np.zeros((B, U), dtype=dt)
-    c = np.zeros((B, U), dtype=dt)
-    if want_cache:
-        H_prev = np.empty((B, T2, U), dtype=dt)
-        C_prev = np.empty((B, T2, U), dtype=dt)
-        TC = np.empty((B, T2, U), dtype=dt)
+    # H[t], C[t]: hidden and cell state entering step t; H[T2] is the output
+    H = np.zeros((T2 + 1, B, U), dtype=dt)
+    C = np.zeros((T2 + 1, B, U), dtype=dt)
+    TC = np.empty((T2, B, U), dtype=dt)
     for t in range(T2):
-        z = G[:, t]
-        z += h @ p["lstm_wh"]
-        _sigmoid_(z[:, : 2 * U])
-        np.tanh(z[:, 2 * U : 3 * U], out=z[:, 2 * U : 3 * U])
-        _sigmoid_(z[:, 3 * U :])
-        if want_cache:
-            H_prev[:, t] = h
-            C_prev[:, t] = c
-        c = z[:, U : 2 * U] * c + z[:, :U] * z[:, 2 * U : 3 * U]
-        tc = np.tanh(c)
-        h = z[:, 3 * U :] * tc
-        if want_cache:
-            TC[:, t] = tc
+        z = G[t]
+        z += H[t] @ wh
+        np.tanh(z, out=z)
+        for sig in (z[:, : 2 * U], z[:, 3 * U :]):
+            sig += 1.0
+            sig *= 0.5
+        np.multiply(z[:, U : 2 * U], C[t], out=C[t + 1])
+        C[t + 1] += z[:, :U] * z[:, 2 * U : 3 * U]
+        np.tanh(C[t + 1], out=TC[t])
+        np.multiply(z[:, 3 * U :], TC[t], out=H[t + 1])
     if not want_cache:
         del G
 
-    hid_pre = h @ p["hid_w"] + p["hid_b"]
+    hid_pre = H[T2] @ p["hid_w"] + p["hid_b"]
     Hact = np.maximum(hid_pre, 0.0)
     mask = None
     if training and cfg.dropout_level > 0.0:
@@ -269,9 +281,8 @@ def _forward(model, ids, training=False, rng=None, want_cache=False):
     if want_cache:
         cache = {
             "win_flat": win_flat, "A": A, "pool_mask": pool_mask, "P": P,
-            "G": G, "H_prev": H_prev, "C_prev": C_prev, "TC": TC,
-            "h_last": h, "hid_pre": hid_pre, "mask": mask, "Hd": Hd,
-            "probs": probs,
+            "G": G, "H": H, "C": C, "TC": TC,
+            "hid_pre": hid_pre, "mask": mask, "Hd": Hd, "probs": probs,
         }
     return probs, cache
 
@@ -292,39 +303,44 @@ def _backward(model, cache, onehot):
     dHd = dlogits @ p["out_w"].T
     dH = dHd * cache["mask"] if cache["mask"] is not None else dHd
     dhid_pre = dH * (cache["hid_pre"] > 0.0)
-    grads["hid_w"] = cache["h_last"].T @ dhid_pre
+    H, C, G, TC = cache["H"], cache["C"], cache["G"], cache["TC"]
+    grads["hid_w"] = H[T2].T @ dhid_pre
     grads["hid_b"] = dhid_pre.sum(axis=0)
 
     # the loop only carries dh/dc back through time; it writes each step's
     # gate-input gradient into dG, and the weight gradients are one matmul
     # each over all steps afterwards
-    G, C_prev, TC = cache["G"], cache["C_prev"], cache["TC"]
-    dG = np.empty((B, T2, 4 * U), dtype=dt)
+    dG = np.empty((T2, B, 4 * U), dtype=dt)
     dh = dhid_pre @ p["hid_w"].T
     dc = np.zeros_like(dh)
     for t in range(T2 - 1, -1, -1):
-        g = G[:, t]
+        g = G[t]
         gi, gf, gg, go = g[:, :U], g[:, U : 2 * U], g[:, 2 * U : 3 * U], g[:, 3 * U :]
-        tc = TC[:, t]
+        tc = TC[t]
         dc += dh * go * (1.0 - tc * tc)
-        dz = dG[:, t]
+        dz = dG[t]
         dz[:, :U] = dc * gg * gi * (1.0 - gi)
-        dz[:, U : 2 * U] = dc * C_prev[:, t] * gf * (1.0 - gf)
+        dz[:, U : 2 * U] = dc * C[t] * gf * (1.0 - gf)
         dz[:, 2 * U : 3 * U] = dc * gi * (1.0 - gg * gg)
         dz[:, 3 * U :] = dh * tc * go * (1.0 - go)
         dh = dz @ p["lstm_wh"].T
         dc *= gf
-    dG = dG.reshape(B * T2, 4 * U)
-    grads["lstm_wx"] = cache["P"].reshape(B * T2, F).T @ dG
-    grads["lstm_wh"] = cache["H_prev"].reshape(B * T2, U).T @ dG
+    dG = dG.reshape(T2 * B, 4 * U)
+    P = cache["P"]
+    grads["lstm_wx"] = P.reshape(T2 * B, F).T @ dG
+    grads["lstm_wh"] = H[:T2].reshape(T2 * B, U).T @ dG
     grads["lstm_b"] = dG.sum(axis=0)
-    dP = (dG @ p["lstm_wx"].T).reshape(B, T2, 1, F)
+    dP = (dG @ p["lstm_wx"].T).reshape(T2, B, F)
     del dG
+    # ReLU: the position a window picked holds A == P, so A > 0 there
+    # exactly when P > 0
+    dP *= P > 0.0
 
-    dZ = np.zeros((B, T, F), dtype=dt)
-    dZ[:, : T2 * PS, :] = (cache["pool_mask"] * dP).reshape(B, T2 * PS, F)
-    dZ *= cache["A"] > 0.0
-    dZ_flat = dZ.reshape(B * T, F)
+    dZ = np.empty((T, B, F), dtype=dt)
+    for k in range(PS):
+        np.multiply(dP, cache["pool_mask"][k], out=dZ[k : T2 * PS : PS])
+    dZ[T2 * PS :] = 0.0
+    dZ_flat = dZ.reshape(T * B, F)
     grads["conv_w"] = (cache["win_flat"].T @ dZ_flat).reshape(K, cfg.embed_dims, F)
     grads["conv_b"] = dZ_flat.sum(axis=0)
     return grads
@@ -381,7 +397,7 @@ def predict_proba(model, ids, batch_size=PREDICT_ROWS):
 def conv_activations(model, ids):
     """Post-ReLU convolution activations for one sequence: (conv_len, filters)."""
     _, cache = _forward(model, np.asarray(ids)[None, :], want_cache=True)
-    return cache["A"][0].copy()
+    return cache["A"][:, 0].copy()
 
 
 @dataclass

@@ -210,8 +210,3 @@ def generate_corpus(root, cfg):
         json.dumps(manifest, sort_keys=True, indent=2) + "\n",
     )
     return manifest
-
-
-def load_manifest(root):
-    with open(os.path.join(os.fspath(root), "manifest.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)

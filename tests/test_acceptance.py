@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repocat import cli, corpus, embedding, evaluation, model, synth, tokens
+from repocat import cli, corpus, embedding, evaluation, model, tokens
 
 
 def _run(*argv):
@@ -351,7 +351,8 @@ def test_embedding_matrix_unchanged_by_classifier_training(e2e):
 
 def test_peak_activation_window_tracks_planted_phrase(e2e):
     net, vocab, _, _ = model.load_model(e2e["nn_cd"])
-    manifest = synth.load_manifest(e2e["corpus"])
+    with open(e2e["corpus"] / "manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
     phrases = {
         cat: set(manifest["plan"][cat]["phrase"])
         for cat in manifest["categories"]

@@ -114,3 +114,17 @@ GOOD_ENTRY = {"name": "w", "shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 
 ])
 def test_malformed_array_entry_names_file(tmp_path, entry):
     _assert_entry_rejected(tmp_path, entry)
+
+
+@pytest.mark.parametrize("header", [
+    pytest.param([], id="list-header"),
+    pytest.param("nn", id="string-header"),
+    pytest.param({"format": 1, "arrays": 5}, id="number-arrays"),
+    pytest.param({"format": 1, "arrays": {"name": "w"}}, id="object-arrays"),
+])
+def test_malformed_header_names_file(tmp_path, header):
+    raw = json.dumps(header).encode()
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(16))
+    with pytest.raises(ValueError, match=r"bad\.ckpt: corrupt checkpoint header"):
+        checkpoint.load_checkpoint(path)

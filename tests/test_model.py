@@ -233,6 +233,47 @@ class TestGradients:
             assert np.abs(grads[name]).max() > 0, f"dead gradient: {name}"
 
 
+def tail_config():
+    """Stride 2 and pool 3 over 17 tokens: conv_len 8, pooled_len 2, so two
+    conv steps fall past the last pool window."""
+    cfg = tiny_config(strides=2, pool_size=3, seq_len=17)
+    assert cfg.conv_len % cfg.pool_size != 0
+    return cfg
+
+
+class TestBatchLayout:
+    """Several rows at once, on a config whose conv output has a tail the
+    pool cuts: a rows/steps mix-up or a mishandled tail shows here."""
+
+    def test_batched_rows_match_loop_oracle(self):
+        m = make_model(tail_config(), seed=12)
+        ids = np.random.default_rng(12).integers(0, 12, size=(5, m.config.seq_len))
+        assert len({tuple(row) for row in ids}) == len(ids)
+        got = M.predict_proba(m, ids)
+        for row, probs in zip(ids, got):
+            np.testing.assert_allclose(probs, oracle_forward(m, row), rtol=0, atol=1e-12)
+
+    def test_batch_gradient_is_mean_of_row_gradients(self):
+        m = make_model(tail_config(), seed=13)
+        rng = np.random.default_rng(13)
+        ids = rng.integers(2, 12, size=(4, m.config.seq_len))
+        onehot = np.zeros((4, 3))
+        onehot[np.arange(4), [0, 1, 2, 1]] = 1.0
+        _, cache = M._forward(m, ids, want_cache=True)
+        batch = M._backward(m, cache, onehot)
+        rows = []
+        for i in range(4):
+            _, cache = M._forward(m, ids[i : i + 1], want_cache=True)
+            rows.append(M._backward(m, cache, onehot[i : i + 1]))
+        for name in M.PARAM_NAMES:
+            want = np.mean([g[name] for g in rows], axis=0)
+            np.testing.assert_allclose(batch[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_finite_difference_agreement(self):
+        err = M.gradient_check(tail_config(), seed=3)
+        assert err < 1e-4, f"max relative gradient error {err}"
+
+
 def oracle_adamax(param, grads_seq, lr, b1, b2, eps):
     """Independent scalar-loop Adamax over a sequence of gradients."""
     param = param.copy()

@@ -1,5 +1,6 @@
 """Synthetic corpus generator: shape, determinism, planted signal."""
 
+import json
 import os
 
 import pytest
@@ -67,7 +68,8 @@ def test_manifest_contents(small_corpus):
 
 def test_load_manifest_roundtrip(small_corpus):
     root, _, manifest = small_corpus
-    assert synth.load_manifest(root) == manifest
+    with open(root / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh) == manifest
 
 
 def test_labels_cover_all_projects(small_corpus):
