@@ -168,7 +168,13 @@ def save_baseline(path, model, bow_vocab, categories, extra_meta=None):
 def from_checkpoint(meta, arrays, path):
     """(model, bow_vocab, categories) from a loaded lr checkpoint; path
     names the file in errors."""
+    from . import checkpoint
+
     if meta.get("kind") != "lr":
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'lr'")
+    bow, categories = BowVocabulary(meta["bow_tokens"]), meta["categories"]
+    checkpoint.require_arrays(path, arrays, {
+        "weights": (len(bow), len(categories)), "bias": (len(categories),),
+    })
     model = LinearModel(weights=arrays["weights"], bias=arrays["bias"], epoch_losses=[])
-    return model, BowVocabulary(meta["bow_tokens"]), meta["categories"]
+    return model, bow, categories

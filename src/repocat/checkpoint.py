@@ -97,3 +97,17 @@ def load_checkpoint(path):
         arrays[entry["name"]] = arr.astype(np.float64, copy=True)
     meta = {k: v for k, v in header.items() if k != "arrays"}
     return meta, arrays
+
+
+def require_arrays(path, arrays, shapes):
+    """Raise ValueError naming path unless arrays holds exactly the names of
+    shapes ({name: shape tuple}), each with its shape."""
+    if arrays.keys() != shapes.keys():
+        raise ValueError(
+            f"{path}: checkpoint arrays {sorted(arrays)}, expected {sorted(shapes)}"
+        )
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}"
+            )

@@ -1,13 +1,34 @@
 """Labeled project corpus: C/C++ function extraction, loading, splitting.
 
-Extraction is a lexical heuristic, not a parser: scan the source skipping
-comments, string/char literals and preprocessor lines, and take every
-`identifier (params...) { ... }` occurrence whose braces balance as one
-function definition, where the identifier is not a control keyword.  Braces
-of non-function scopes (namespaces, extern "C", class bodies) are treated as
-transparent, so functions defined inside them are still found; function
-bodies themselves are consumed whole, so nested local blocks never spawn
-candidates.
+Extraction is a lexical heuristic, not a parser.  `_lex` turns a file into
+events, skipping comments, whitespace and preprocessor lines and collapsing
+string/char literals; a `'` inside a number is a C++14 digit separator
+(`1'000`), not a char literal.  One right-to-left pass over the events then
+builds two tables: `partner`, the matching ')' or '}' of every '(' and '{',
+and `reach`, where a linkage starting at each event ends.  A linkage is what
+may sit between a parameter list and its body: words, numbers, literals, the
+symbols of `_LINKAGE` and balanced (...) groups of these.
+
+A definition is `word (params) linkage { body }` where the word is not a
+control keyword or linkage word, the braces in the params balance, and the
+linkage reaches a '{'.  The end of the params, the linkage check and the end
+of the body are each one table lookup, so extraction runs in linear time.
+One forward loop takes the definitions in order.  It walks through the
+braces of non-function scopes (namespaces, extern "C", class bodies), so
+functions inside them are found, and jumps over each body, so local blocks
+never spawn candidates.  A body runs from the start of its declaration
+through the closing brace.
+
+Naming: a `word(...)` group later in the linkage, before any single ':' (a
+ctor initializer list), names the function when a return type separates it
+from the previous group's ')'.  The groups before it were X-macro rows
+(`X(a, 1) X(b, 2) int f(void) {...}` is `f`), and the body starts after
+them.  A group right after a ')', or after qualifiers such as `const`, is an
+attribute macro and does not rename (`int foo(int a) MY_ATTR(x) {...}` is
+`foo`).
+
+K&R definitions (`int k(a, b) int a; { ... }`) are not extracted: the ';'
+ends the linkage.
 
 Splits are project-disjoint: whole projects are held out per category, and
 the training side is balanced by undersampling functions per category.
@@ -26,15 +47,23 @@ logger = logging.getLogger(__name__)
 
 SOURCE_EXTENSIONS = {".c", ".h", ".cc", ".cpp", ".cxx", ".hh", ".hpp", ".hxx"}
 
-# Keywords that look like `name (...)` but never name a function definition.
+# Words that look like `name (...)` but never name a function definition:
+# control keywords, then linkage words that may follow a parameter list.
 _NOT_FUNCTION_NAMES = {
     "if", "for", "while", "switch", "return", "do", "else",
     "sizeof", "catch", "defined",
+    "throw", "noexcept", "decltype", "alignas", "__attribute__", "__declspec",
 }
 
-# Symbols allowed between the parameter list and the opening brace
-# (pointer/reference returns, ctor initializer lists, const &c. are words).
-_LINKAGE_SYMBOLS = {"*", "&", ":", ",", "<", ">", "-", "(", ")", "."}
+# Words that may follow a parameter list; before a `word(...)` group they
+# are no return type (`int get() const LOCKS_EXCLUDED(mu) {` is `get`).
+_QUALIFIERS = {"const", "volatile", "noexcept", "override", "final"}
+
+# Event kinds that may sit between a parameter list and its body, besides
+# balanced (...) groups of them: words (const, ctor initializer lists),
+# numbers, literals, and the symbols of pointer/reference returns, scopes,
+# templates and trailing return types.
+_LINKAGE = {"word", "num", "str", "*", "&", ":", ",", "<", ">", "-", "."}
 
 
 @dataclass
@@ -153,8 +182,10 @@ def _lex(source):
         if ch.isdigit():
             start = i
             i += 1
-            while i < n and (source[i].isalnum() or source[i] in "._"):
-                i += 1
+            while i < n and (source[i].isalnum() or source[i] in "._" or (
+                    source[i] == "'" and i + 1 < n
+                    and (source[i + 1].isalnum() or source[i + 1] == "_"))):
+                i += 1  # a ' between digits is a C++14 digit separator
             yield ("num", start, i)
             continue
         yield (ch, i, i + 1)
@@ -172,118 +203,109 @@ def extract_functions(source, project=""):
     if "\0" in source:
         raise ValueError("binary input: source contains NUL bytes")
     events = list(_lex(source))
+    total = len(events)
+    events.append(("eof", len(source), len(source)))
+    partner, reach = _bracket_tables(events)
     functions = []
     diagnostics = []
-    total = len(events)
-    k = 0
     decl_start = None  # source offset where the current declaration began
     last_word = None  # identifier immediately preceding the cursor, if any
-
+    k = 0
     while k < total:
         kind, start, end = events[k]
         if decl_start is None:
             decl_start = start
         if kind == "word":
             last_word = source[start:end]
-            k += 1
-            continue
-        if kind == "(" and last_word and last_word not in _NOT_FUNCTION_NAMES:
-            matched, k_next = _try_candidate(
-                source, events, k, decl_start, last_word, project,
-                functions, diagnostics,
-            )
-            if matched:
-                k = k_next
+        elif kind == "(" and last_word and last_word not in _NOT_FUNCTION_NAMES:
+            close = partner[k]
+            brace = reach[close + 1] if close >= 0 else total
+            if events[brace][0] == "{":
+                name, decl_start = _definition_name(
+                    source, events, partner, close, brace, last_word, decl_start)
+                if partner[brace] < 0:
+                    diagnostics.append(
+                        f"unbalanced braces at end of file: dropped partial function '{name}'"
+                    )
+                    break
+                k = partner[brace]
+                body = source[decl_start : events[k][2]]
+                functions.append(FunctionRecord(project, name, body))
                 decl_start = None
-                last_word = None
-                continue
-            # Not a definition: fall through and rescan past the '('.
             last_word = None
-            k += 1
-            continue
-        if kind == ":" and k + 1 < total and events[k + 1][0] == ":":
-            # '::' scope operator: neither a label nor an access specifier.
-            k += 2
-            continue
-        if kind in (";", "{", "}", ":"):
-            # Statement/scope boundary: next declaration starts afresh.
-            decl_start = None
+        elif kind == ":" and events[k + 1][0] == ":":
+            k += 1  # '::' scope operator: neither a label nor an access specifier
+        elif kind in (";", "{", "}", ":"):
+            decl_start = None  # statement/scope boundary
             last_word = None
-            k += 1
-            continue
-        last_word = None
+        else:
+            last_word = None
         k += 1
-
     return ExtractionResult(functions, diagnostics)
 
 
-def _try_candidate(source, events, k_open, decl_start, name, project,
-                   functions, diagnostics):
-    """Match params + linkage + braced body starting at the '(' event k_open.
+def _bracket_tables(events):
+    """(partner, reach) for events, which end with an 'eof' sentinel.
 
-    On success appends a FunctionRecord (body = source from decl_start through
-    the closing brace) and returns (True, index after the body).  Returns
-    (False, k_open) when the shape is not a function definition.
+    partner[i] is the index of the ')' or '}' matching the '(' or '{' at i,
+    or -1; parentheses and braces pair independently of each other, and a
+    '(' whose group holds unbalanced braces gets -1, as no parameter list
+    does.  reach[i] is where a linkage starting at i ends: on the '{' it
+    opens, or on the first event that cannot sit in a linkage.
     """
-    total = len(events)
-    depth = 1
-    k = k_open + 1
-    while k < total and depth:
-        kind = events[k][0]
-        if kind == "(":
-            depth += 1
+    partner = [-1] * len(events)
+    reach = list(range(len(events)))
+    parens, braces = [], []
+    depth = 0  # '}' minus '{' events after i
+    for i in range(len(events) - 2, -1, -1):
+        kind = events[i][0]
+        if kind in _LINKAGE:
+            reach[i] = reach[i + 1]
         elif kind == ")":
-            depth -= 1
-        k += 1
-    if depth:
-        return False, k_open  # unbalanced params at EOF
-
-    # Between the parameter list and '{': allow words, numbers, literals and
-    # a small symbol set (covers pointers, const, ctor initializer lists,
-    # throw()/noexcept(...) with nested parens).  Anything else rejects.
-    paren = 0
-    while k < total:
-        kind, start, end = events[k]
-        if kind in ("word", "num", "str"):
-            k += 1
-            continue
-        if kind == "(":
-            paren += 1
-            k += 1
-            continue
-        if kind == ")":
-            paren -= 1
-            if paren < 0:
-                return False, k_open
-            k += 1
-            continue
-        if kind == "{" and paren == 0:
-            break
-        if kind in _LINKAGE_SYMBOLS:
-            k += 1
-            continue
-        return False, k_open
-    if k >= total:
-        return False, k_open
-
-    # Braced body: consume to the matching close.
-    depth = 1
-    k += 1
-    while k < total and depth:
-        kind = events[k][0]
-        if kind == "{":
-            depth += 1
+            parens.append((i, depth))
         elif kind == "}":
+            braces.append(i)
+            depth += 1
+        elif kind == "{":
             depth -= 1
-            if depth == 0:
-                body = source[decl_start : events[k][2]]
-                functions.append(FunctionRecord(project, name, body))
-                return True, k + 1
+            if braces:
+                partner[i] = braces.pop()
+        elif kind == "(" and parens:
+            close, close_depth = parens.pop()
+            if close_depth == depth:
+                partner[i] = close
+                if reach[i + 1] == close:  # a group of linkage events
+                    reach[i] = reach[close + 1]
+    return partner, reach
+
+
+def _definition_name(source, events, partner, close, brace, name, decl_start):
+    """(name, body start) of a definition whose parameter list ends at event
+    close and whose body opens at event brace.
+
+    A later `word(...)` group in the linkage, before any single ':', names
+    the function instead when a return type (an event other than a
+    _QUALIFIERS word) separates its word from the previous group's ')': the
+    groups before it were X-macro rows, and the body starts after them.
+    Otherwise the group is an attribute macro.
+    """
+    prev = close
+    k = close + 1
+    while k < brace:
+        kind = events[k][0]
+        if kind == ":":
+            if events[k + 1][0] != ":":
+                break  # ctor initializer list: its groups name members
+            k += 1
+        elif kind == "(":
+            word_kind, word_start, word_end = events[k - 1]
+            word = source[word_start:word_end]
+            typed = any(source[s:e] not in _QUALIFIERS for _, s, e in events[prev + 1 : k - 1])
+            if word_kind == "word" and typed and word not in _NOT_FUNCTION_NAMES:
+                name, decl_start = word, events[prev + 1][1]
+            prev = k = partner[k]
         k += 1
-    diagnostics.append(
-        f"unbalanced braces at end of file: dropped partial function '{name}'"
-    )
-    return True, total
+    return name, decl_start
 
 
 def extract_file(path, project=""):

@@ -157,19 +157,26 @@ def init_model(config, embedding, seed=None):
     rng = np.random.default_rng(config.seed if seed is None else seed)
     K, D, F = config.kernel_size, config.embed_dims, config.filters
     U, H, C = config.lstm_units, config.hide_u, config.num_categories
+    fans = {"conv_w": (K * D, F), "lstm_wx": (F, U), "lstm_wh": (U, U),
+            "hid_w": (U, H), "out_w": (H, C)}
     params = {
-        "conv_w": _glorot(rng, (K, D, F), K * D, F),
-        "conv_b": np.zeros(F),
-        "lstm_wx": _glorot(rng, (F, 4 * U), F, U),
-        "lstm_wh": _glorot(rng, (U, 4 * U), U, U),
-        "lstm_b": np.zeros(4 * U),
-        "hid_w": _glorot(rng, (U, H), U, H),
-        "hid_b": np.zeros(H),
-        "out_w": _glorot(rng, (H, C), H, C),
-        "out_b": np.zeros(C),
+        name: _glorot(rng, shape, *fans[name]) if name in fans else np.zeros(shape)
+        for name, shape in param_shapes(config).items()
     }
     params["lstm_b"][U : 2 * U] = 1.0  # forget-gate bias
     return ClassifierModel(config, embedding, params)
+
+
+def param_shapes(config):
+    """{name: shape} of the trained parameters, in PARAM_NAMES order."""
+    K, D, F = config.kernel_size, config.embed_dims, config.filters
+    U, H, C = config.lstm_units, config.hide_u, config.num_categories
+    return {
+        "conv_w": (K, D, F), "conv_b": (F,),
+        "lstm_wx": (F, 4 * U), "lstm_wh": (U, 4 * U), "lstm_b": (4 * U,),
+        "hid_w": (U, H), "hid_b": (H,),
+        "out_w": (H, C), "out_b": (C,),
+    }
 
 
 def softmax(logits):
@@ -556,6 +563,7 @@ def save_model(path, model, vocab, categories, extra_meta=None):
 def from_checkpoint(meta, arrays, path):
     """(model, vocab, categories) from a loaded nn checkpoint; path names
     the file in errors.  Takes ownership of arrays."""
+    from . import checkpoint
     from .tokens import Vocabulary
 
     if meta.get("kind") != "nn":
@@ -568,6 +576,9 @@ def from_checkpoint(meta, arrays, path):
     vocab = Vocabulary(meta["vocab_tokens"])
     if vocab.sha256() != meta.get("vocab_sha256"):
         raise ValueError(f"{path}: vocabulary hash mismatch; checkpoint corrupt")
+    checkpoint.require_arrays(path, arrays, {
+        "embedding": (len(vocab), config.embed_dims), **param_shapes(config),
+    })
     embedding = arrays.pop("embedding")
     model = ClassifierModel(config, embedding, arrays, history=meta.get("history"))
     return model, vocab, meta["categories"]

@@ -171,3 +171,19 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(
         B.predict_logreg(loaded, x), B.predict_logreg(model, x)
     )
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda arrays: arrays.pop("bias"), "checkpoint arrays"),
+    (lambda arrays: arrays.update(weights=arrays["weights"][:-1]), "'weights' has shape"),
+], ids=["missing", "wrong-shape"])
+def test_load_checks_array_names_and_shapes(tmp_path, edit, message):
+    X, y = _separable(seed=9)
+    model = B.train_logreg(X, y, 2, seed=9)
+    vocab = B.BowVocabulary([f"tok{i}" for i in range(X.shape[1])])
+    path = tmp_path / "baseline.ckpt"
+    B.save_baseline(path, model, vocab, ["games", "sound"])
+    meta, arrays = checkpoint.load_checkpoint(path)
+    edit(arrays)
+    with pytest.raises(ValueError, match=r"baseline\.ckpt: .*" + message):
+        B.from_checkpoint(meta, arrays, path)

@@ -304,3 +304,87 @@ def test_read_labels(tmp_path):
     )
     with pytest.raises(ValueError, match="duplicate"):
         corpus.read_labels(dup)
+
+
+def _names(source):
+    return [f.function_name for f in corpus.extract_functions(source).functions]
+
+
+class TestDefinitionNames:
+    def test_xmacro_rows_do_not_name_the_function(self):
+        rows = "".join(f"MODULE_PARAM(x{i}, int)\n" for i in range(2000))
+        result = corpus.extract_functions(rows + "int f(void){ return 0; }\n")
+        assert [(f.function_name, f.body) for f in result.functions] == [
+            ("f", "int f(void){ return 0; }")
+        ]
+        assert result.diagnostics == []
+
+    def test_short_xmacro_table(self):
+        fns = corpus.extract_functions("X(A, 1)\nX(B, 2)\nint f(void) { return 0; }").functions
+        assert [(f.function_name, f.body) for f in fns] == [("f", "int f(void) { return 0; }")]
+
+    def test_leading_attribute_is_not_a_name(self):
+        src = "__attribute__((noreturn)) void die(void) { x(); }"
+        fns = corpus.extract_functions(src).functions
+        assert [(f.function_name, f.body) for f in fns] == [("die", src)]
+
+    @pytest.mark.parametrize("src, name", [
+        ("void f() noexcept(true) { }", "f"),
+        ("void g() throw() { }", "g"),
+        ("auto h(int a) -> decltype(a) { return a; }", "h"),
+        # An attribute macro right after the parameter list keeps the name:
+        # a function after X-macro rows has a return type before its name.
+        ("static int foo(int a) MY_ATTR(x) { return a; }", "foo"),
+        ("X(A)\nstatic int foo(int a) MY_ATTR(x) { return a; }", "foo"),
+        ("int get() const LOCKS_EXCLUDED(mu) { return 1; }", "get"),
+    ])
+    def test_linkage_groups_keep_the_name(self, src, name):
+        assert _names(src) == [name]
+
+    def test_parameter_list_braces_must_balance(self):
+        assert _names("void g(x }) { }\nint h(void) { return 1; }") == ["h"]
+        assert _names("void f(S s = {}) { }") == ["f"]
+
+    def test_knr_definitions_are_rejected(self):
+        assert _names("int k(a, b) int a; int b; { return a; }") == []
+
+
+def test_digit_separators_stay_in_the_number():
+    result = corpus.extract_functions(
+        "int f(void) { long n = 1'000; }\nint g(void) { return 2; }\n"
+    )
+    assert [f.function_name for f in result.functions] == ["f", "g"]
+    assert result.diagnostics == []
+
+
+def test_extraction_is_linear_on_call_runs():
+    import time
+
+    start = time.perf_counter()
+    result = corpus.extract_functions("a(b) " * 8000)
+    assert time.perf_counter() - start < 2.0
+    assert result.functions == []
+
+
+FUZZ_ALPHABET = (
+    ["a", "b", "f", "g", "X", "int", "void", "const", "if", "while", "return",
+     "noexcept", "throw"]
+    + ["(", ")", "{", "}", ";", ":", "::", "*", ",", "=", "<", ">", "&", ".", "-"] * 2
+    + ['"s{"', "'}'", "42", "1'000", "/* { */", "// }\n", "\n#define X(y) {\n", "\n"]
+)
+
+
+def test_seeded_fuzz_never_crashes_and_bodies_are_sound():
+    import re
+
+    rng = np.random.default_rng(10)
+    for _ in range(3000):
+        picks = rng.integers(len(FUZZ_ALPHABET), size=int(rng.integers(0, 60)))
+        source = " ".join(FUZZ_ALPHABET[i] for i in picks)
+        cursor = 0
+        for fn in corpus.extract_functions(source).functions:
+            assert brace_balance(fn.body) == 0, source
+            at = source.find(fn.body, cursor)
+            assert at >= 0, source  # in source order, not overlapping
+            cursor = at + len(fn.body)
+            assert re.search(rf"(?<!\w){re.escape(fn.function_name)}(?!\w)", fn.body), source

@@ -544,6 +544,24 @@ class TestModelIO:
         with pytest.raises(ValueError, match=r"model\.ckpt: unsupported optimizer 'sgd'"):
             M.load_model(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda arrays: arrays.pop("lstm_wh"), "checkpoint arrays"),
+        (lambda arrays: arrays.update(out_b=np.zeros(4)), r"'out_b' has shape \(4,\)"),
+    ], ids=["missing", "wrong-shape"])
+    def test_arrays_checked_against_config(self, tmp_path, edit, message):
+        from repocat import checkpoint as C
+        from repocat import tokens as T
+
+        m = make_model(tiny_config())
+        vocab = T.build_vocabulary([[f"tok{i}" for i in range(10)]])
+        path = tmp_path / "model.ckpt"
+        M.save_model(path, m, vocab, ["a", "b", "c"])
+        meta, arrays = C.load_checkpoint(path)
+        edit(arrays)
+        C.save_checkpoint(path, meta, arrays)
+        with pytest.raises(ValueError, match=r"model\.ckpt: .*" + message):
+            M.load_model(path)
+
     def test_wrong_kind_rejected(self, tmp_path):
         from repocat import checkpoint as C
 
