@@ -19,9 +19,11 @@ functions inside them are found, and jumps over each body, so local blocks
 never spawn candidates.  A body runs from the start of its declaration
 through the closing brace.
 
-Naming: a `word(...)` group later in the linkage, before any single ':' (a
-ctor initializer list), names the function when a return type separates it
-from the previous group's ')'.  The groups before it were X-macro rows
+Naming: the word before the '(' names the function, and a '~' right before
+that word joins the name (`Foo::~Foo() {...}` is `~Foo`).  A `word(...)`
+group later in the linkage, before any single ':' (a ctor initializer list),
+names the function instead when a return type separates it from the
+previous group's ')'.  The groups before it were X-macro rows
 (`X(a, 1) X(b, 2) int f(void) {...}` is `f`), and the body starts after
 them.  A group right after a ')', or after qualifiers such as `const`, is an
 attribute macro and does not rename (`int foo(int a) MY_ATTR(x) {...}` is
@@ -221,8 +223,9 @@ def extract_functions(source, project=""):
             close = partner[k]
             brace = reach[close + 1] if close >= 0 else total
             if events[brace][0] == "{":
+                name = "~" + last_word if events[k - 2][0] == "~" else last_word
                 name, decl_start = _definition_name(
-                    source, events, partner, close, brace, last_word, decl_start)
+                    source, events, partner, close, brace, name, decl_start)
                 if partner[brace] < 0:
                     diagnostics.append(
                         f"unbalanced braces at end of file: dropped partial function '{name}'"

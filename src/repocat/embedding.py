@@ -210,7 +210,10 @@ def train_glove(table, vocab_size, config, chunk=16384):
         return total / n_entries
 
     def adagrad_step(M, G, rows, g):
-        """One chunk's step on the rows of M it touches, and on G."""
+        """One chunk's step on the rows of M it touches, and on G.
+
+        Squares g in place: its callers pass chunk-local gradients that
+        nothing reads afterwards."""
         touched, slot = np.unique(rows, return_inverse=True)
         keys = np.add.outer(slot * (dims + 2), np.arange(dims + 2)).ravel()
 
@@ -218,7 +221,8 @@ def train_glove(table, vocab_size, config, chunk=16384):
             return np.bincount(keys, weights=values.ravel()).reshape(-1, dims + 2)
 
         M[touched] -= lr * row_sums(g) / np.sqrt(G[touched])
-        G[touched] += row_sums(g * g)
+        np.square(g, out=g)
+        G[touched] += row_sums(g)
 
     losses = [mean_loss()]
     for iteration in range(config.iterations):
@@ -231,8 +235,10 @@ def train_glove(table, vocab_size, config, chunk=16384):
             diff = np.einsum("nd,nd->n", wi, wj) - logx[sel]
             fdiff = fx[sel] * diff
             total += float(0.5 * fdiff @ diff)
-            gi = fdiff[:, None] * wj
-            gj = fdiff[:, None] * wi
+            # the gathered rows become the gradients in place
+            gi, gj = wj, wi
+            gi *= fdiff[:, None]
+            gj *= fdiff[:, None]
             gi[:, dims + 1] = 0.0  # the constant columns
             gj[:, dims] = 0.0
             adagrad_step(W, GW, i_s, gi)

@@ -16,6 +16,17 @@ pool reads whole-step slabs.  The sigmoid gates i, f and o are computed as
 0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight and bias
 columns (exact in binary), so one tanh per step covers all four gates.
 
+`fit` hands every train step one workspace: a dict in which `_buf` keeps
+the large activations and gradients (the looked-up rows, the conv windows,
+the conv, pool, mask, gate and LSTM state arrays, and the gate, pool and
+conv gradients) and returns them to the next step of the same shape and
+dtype, which writes them in place.  A step on a warm workspace allocates
+no multi-MB array, so it does not page-fault in memory that the allocator
+gave back to the kernel after the step before.  An array from a workspace,
+and so a cache that holds one, is valid only until the next call with the
+same workspace.  Inference, `conv_activations` and `gradient_check` pass no
+workspace and allocate each array afresh.
+
 Architecture at defaults (seq_len 60, kernel 3, stride 1, pool 2), shapes
 per sequence:
 
@@ -49,10 +60,10 @@ logger = logging.getLogger(__name__)
 # kept peak memory about 4 MB lower than 32; activations grow with rows.
 PREDICT_ROWS = 16
 
-# Training precision.  A batch-128 train step at the stock shapes took
-# 76 ms in float32 against 159 ms in float64 (best of 9; 2-CPU Xeon,
-# NumPy 2.4.6, OpenBLAS): the GEMMs run at twice the rate and the
-# elementwise LSTM work moves half the bytes.
+# Training precision.  A batch-128 train step at the stock shapes, on a
+# warm workspace, took 74-79 ms in float32 against 152-158 ms in float64
+# (best of 9, two processes; 2-CPU Xeon, NumPy 2.4.6, OpenBLAS): the GEMMs
+# run at twice the rate and the elementwise LSTM work moves half the bytes.
 TRAIN_DTYPE = np.float32
 
 PARAM_NAMES = (
@@ -186,14 +197,33 @@ def softmax(logits):
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def _forward(model, ids, training=False, rng=None, want_cache=False):
+def _buf(ws, name, shape, dtype):
+    """An uninitialized `shape` x `dtype` array for `name`.
+
+    A workspace `ws` is a dict that caches one array per name: the array it
+    holds is returned when its shape and dtype match, and a new one replaces
+    it otherwise.  So an array taken from a workspace is valid only until
+    the next call that uses the same workspace.  Without a workspace
+    (`ws` None) this is `np.empty`, and nothing holds the array.
+    """
+    if ws is None:
+        return np.empty(shape, dtype)
+    arr = ws.get(name)
+    if arr is None or arr.shape != shape or arr.dtype != dtype:
+        arr = ws[name] = np.empty(shape, dtype)
+    return arr
+
+
+def _forward(model, ids, training=False, rng=None, want_cache=False, ws=None):
     """Batched forward pass; ids is (B, seq_len) int.
 
     Runs time-major: activations are (steps, B, width), so each time step is
     one contiguous block.  Returns (probs, cache); cache is None unless
     want_cache.  Without a cache, the conv and pool activations are dropped
     as soon as the next layer has consumed them, so peak memory is about two
-    layers' activations.
+    layers' activations.  The large activations are taken from the
+    workspace `ws` (see `_buf`), so the cache is valid only until the next
+    call with that workspace.
     """
     cfg = model.config
     ids = np.asarray(ids)
@@ -207,11 +237,15 @@ def _forward(model, ids, training=False, rng=None, want_cache=False):
     T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
 
     dt = p["conv_w"].dtype
-    X = model.embedding[ids.T].astype(dt, copy=False)  # (L, B, D)
+    # (L, B, D), cast to dt on the way in; the ids were checked above, so
+    # mode="clip" clips nothing and spares `take` its buffered copy
+    X = _buf(ws, "X", (cfg.seq_len, B, D), dt)
+    np.take(model.embedding, ids.T, axis=0, out=X, mode="clip")
     win = sliding_window_view(X, K, axis=0)[::cfg.strides]  # (T, B, D, K)
-    win_flat = win.transpose(0, 1, 3, 2).reshape(T * B, K * D)
+    win_flat = _buf(ws, "win_flat", (T * B, K * D), dt)
+    np.copyto(win_flat.reshape(T, B, K, D), win.transpose(0, 1, 3, 2))
     del X, win
-    A = win_flat @ p["conv_w"].reshape(K * D, F)
+    A = np.matmul(win_flat, p["conv_w"].reshape(K * D, F), out=_buf(ws, "A", (T * B, F), dt))
     A += p["conv_b"]
     np.maximum(A, 0.0, out=A)  # ReLU in place
     A = A.reshape(T, B, F)
@@ -221,19 +255,22 @@ def _forward(model, ids, training=False, rng=None, want_cache=False):
     # pool window t2 covers steps t2*PS .. t2*PS+PS-1; slab k holds step k
     # of every window, and steps from T2*PS on are cut
     slabs = [A[k : T2 * PS : PS] for k in range(PS)]
-    P = slabs[0].copy()  # (T2, B, F)
+    P = _buf(ws, "P", (T2, B, F), dt)
+    np.copyto(P, slabs[0])
     for slab in slabs[1:]:
         np.maximum(P, slab, out=P)
     pool_mask = None
     if want_cache:
         # the gradient goes to the first max of each window: clear every
         # later position that ties with one already taken
-        pool_mask = np.empty((PS, T2, B, F), dtype=bool)
+        pool_mask = _buf(ws, "pool_mask", (PS, T2, B, F), bool)
         np.equal(slabs[0], P, out=pool_mask[0])
-        taken = pool_mask[0].copy()
+        taken = _buf(ws, "taken", (T2, B, F), bool)
+        np.copyto(taken, pool_mask[0])
         for k in range(1, PS):
             np.equal(slabs[k], P, out=pool_mask[k])
-            pool_mask[k] &= ~taken
+            # on bools, a > b is a and not b
+            np.greater(pool_mask[k], taken, out=pool_mask[k])
             taken |= pool_mask[k]
     else:
         del A
@@ -248,14 +285,18 @@ def _forward(model, ids, training=False, rng=None, want_cache=False):
     wh = p["lstm_wh"] * half
     # input projection for every step at once; the loop turns each step's
     # block into that step's gate activations in place
-    G = (P.reshape(T2 * B, F) @ (p["lstm_wx"] * half)).reshape(T2, B, 4 * U)
+    G = _buf(ws, "G", (T2, B, 4 * U), dt)
+    np.matmul(P.reshape(T2 * B, F), p["lstm_wx"] * half, out=G.reshape(T2 * B, 4 * U))
     G += p["lstm_b"] * half
     if not want_cache:
         del P
-    # H[t], C[t]: hidden and cell state entering step t; H[T2] is the output
-    H = np.zeros((T2 + 1, B, U), dtype=dt)
-    C = np.zeros((T2 + 1, B, U), dtype=dt)
-    TC = np.empty((T2, B, U), dtype=dt)
+    # H[t], C[t]: hidden and cell state entering step t; H[T2] is the output.
+    # The loop writes every later step, so only step 0 is zeroed.
+    H = _buf(ws, "H", (T2 + 1, B, U), dt)
+    C = _buf(ws, "C", (T2 + 1, B, U), dt)
+    H[0] = 0.0
+    C[0] = 0.0
+    TC = _buf(ws, "TC", (T2, B, U), dt)
     for t in range(T2):
         z = G[t]
         z += H[t] @ wh
@@ -294,8 +335,10 @@ def _forward(model, ids, training=False, rng=None, want_cache=False):
     return probs, cache
 
 
-def _backward(model, cache, onehot):
-    """Gradients of mean cross-entropy w.r.t. all trainable parameters."""
+def _backward(model, cache, onehot, ws=None):
+    """Gradients of mean cross-entropy w.r.t. all trainable parameters.
+
+    The large gradients are taken from the workspace `ws` (see `_buf`)."""
     cfg = model.config
     p = model.params
     dt = p["conv_w"].dtype
@@ -317,7 +360,7 @@ def _backward(model, cache, onehot):
     # the loop only carries dh/dc back through time; it writes each step's
     # gate-input gradient into dG, and the weight gradients are one matmul
     # each over all steps afterwards
-    dG = np.empty((T2, B, 4 * U), dtype=dt)
+    dG = _buf(ws, "dG", (T2, B, 4 * U), dt)
     dh = dhid_pre @ p["hid_w"].T
     dc = np.zeros_like(dh)
     for t in range(T2 - 1, -1, -1):
@@ -337,13 +380,16 @@ def _backward(model, cache, onehot):
     grads["lstm_wx"] = P.reshape(T2 * B, F).T @ dG
     grads["lstm_wh"] = H[:T2].reshape(T2 * B, U).T @ dG
     grads["lstm_b"] = dG.sum(axis=0)
-    dP = (dG @ p["lstm_wx"].T).reshape(T2, B, F)
+    dP = _buf(ws, "dP", (T2, B, F), dt)
+    np.matmul(dG, p["lstm_wx"].T, out=dP.reshape(T2 * B, F))
     del dG
     # ReLU: the position a window picked holds A == P, so A > 0 there
     # exactly when P > 0
-    dP *= P > 0.0
+    relu = _buf(ws, "relu", (T2, B, F), bool)
+    np.greater(P, 0.0, out=relu)
+    dP *= relu
 
-    dZ = np.empty((T, B, F), dtype=dt)
+    dZ = _buf(ws, "dZ", (T, B, F), dt)
     for k in range(PS):
         np.multiply(dP, cache["pool_mask"][k], out=dZ[k : T2 * PS : PS])
     dZ[T2 * PS :] = 0.0
@@ -374,13 +420,16 @@ def adamax_update(model, grads):
         model.params[name] -= cfg.learning_rate * (m / correction) / (u + cfg.epsilon)
 
 
-def train_step(model, ids, onehot, rng=None):
-    """Forward + backward + Adamax on one minibatch; returns the batch loss."""
-    probs, cache = _forward(model, ids, training=True, rng=rng, want_cache=True)
+def train_step(model, ids, onehot, rng=None, ws=None):
+    """Forward + backward + Adamax on one minibatch; returns the batch loss.
+
+    `ws` is a workspace dict (see `_buf`) for the large activations and
+    gradients; passing the same one to every step of a run reuses them."""
+    probs, cache = _forward(model, ids, training=True, rng=rng, want_cache=True, ws=ws)
     loss = cross_entropy(probs, onehot)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss: {loss}")
-    grads = _backward(model, cache, onehot)
+    grads = _backward(model, cache, onehot, ws=ws)
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient in {name}")
@@ -474,6 +523,7 @@ def fit(model, examples):
     yv = np.array([ex.label for ex in val_ex])
 
     work = model.astype(TRAIN_DTYPE)
+    ws = {}  # the train steps' activations and gradients, reused step to step
     snapshots = []
     val_accuracies = []
     epoch_losses = []
@@ -482,7 +532,7 @@ def fit(model, examples):
         losses = []
         for lo in range(0, len(perm), cfg.batch_size):
             sel = perm[lo : lo + cfg.batch_size]
-            losses.append(train_step(work, X[sel], Y[sel], rng=rng))
+            losses.append(train_step(work, X[sel], Y[sel], rng=rng, ws=ws))
         probs = predict_proba(work, Xv)
         acc = float(np.mean(probs.argmax(axis=1) == yv))
         snapshots.append(work.snapshot_params())

@@ -348,6 +348,15 @@ class TestDefinitionNames:
     def test_knr_definitions_are_rejected(self):
         assert _names("int k(a, b) int a; int b; { return a; }") == []
 
+    @pytest.mark.parametrize("src, names", [
+        ("Foo::~Foo() { free(p); }", ["~Foo"]),
+        ("class Foo {\npublic:\n  ~Foo() { }\n};", ["~Foo"]),
+        ("Foo::Foo() : p(0) { }", ["Foo"]),
+        ("~Foo();", []),
+    ])
+    def test_destructor_is_named_with_its_tilde(self, src, names):
+        assert _names(src) == names
+
 
 def test_digit_separators_stay_in_the_number():
     result = corpus.extract_functions(

@@ -297,6 +297,24 @@ class TestTrainGlove:
         assert peaks[1] - peaks[0] < vocab_size * (dims + 2) * 8 / 2
 
 
+    def test_iteration_memory_is_under_three_chunk_row_arrays(self):
+        # 60,000 entries over 3,000 tokens: an iteration whose chunk built
+        # its gradients next to the gathered rows, and squared them into
+        # another array, took about four chunk-row arrays over the loss
+        rng = np.random.default_rng(10)
+        vocab_size, dims, chunk = 3_000, 100, 16_384
+        side = vocab_size - 2
+        keys = np.sort(rng.choice(side * side, size=60_000, replace=False))
+        table = embedding.CooccurrenceTable(
+            keys // side + 2, keys % side + 2, rng.uniform(0.5, 20.0, size=len(keys))
+        )
+        peaks = []
+        for iterations in (0, 1):
+            cfg = GloveConfig(dims=dims, iterations=iterations, seed=10)
+            _, peak = _traced_train_glove(table, vocab_size, cfg)
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 3 * chunk * (dims + 2) * 8, peaks
+
 def _traced_train_glove(table, vocab_size, cfg):
     """(losses, peak traced bytes) of one train_glove call."""
     tracemalloc.start()

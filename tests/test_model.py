@@ -1,5 +1,7 @@
 """Classifier contracts: architecture, gradients, optimizer, fit, IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,62 @@ class TestTrainStep:
         Y[:, 0] = 1.0
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             M.train_step(m, ids, Y)
+
+
+class TestWorkspace:
+    """fit hands every train step the same workspace (see model._buf)."""
+
+    def _three_steps(self, ws):
+        m = make_model(tail_config(), seed=14).astype(M.TRAIN_DTYPE)
+        rng = np.random.default_rng(14)
+        losses = []
+        for rows in (4, 3, 4):
+            ids = rng.integers(0, 12, size=(rows, m.config.seq_len))
+            onehot = np.zeros((rows, 3))
+            onehot[np.arange(rows), rng.integers(0, 3, rows)] = 1.0
+            losses.append(M.train_step(m, ids, onehot, ws=ws))
+        return losses, m.params
+
+    def test_shared_workspace_matches_fresh_buffers(self, monkeypatch):
+        want_losses, want = self._three_steps(ws=None)
+        buf = M._buf
+
+        def junk_buf(ws, name, shape, dtype):
+            # a reused array holds anything: whatever a step reads before
+            # writing it shows as a changed loss or parameter
+            arr = buf(ws, name, shape, dtype)
+            arr.fill(True if arr.dtype == bool else 7.0)
+            return arr
+
+        monkeypatch.setattr(M, "_buf", junk_buf)
+        ws = {}
+        got_losses, got = self._three_steps(ws=ws)
+        assert {"H", "C", "dZ", "taken"} <= set(ws)
+        assert got_losses == want_losses
+        for name in M.PARAM_NAMES:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_warm_workspace_allocates_little(self):
+        cfg = ClassifierConfig(num_categories=6)
+        emb = np.random.default_rng(15).normal(size=(200, cfg.embed_dims))
+        m = M.init_model(cfg, emb, seed=15).astype(M.TRAIN_DTYPE)
+        rng = np.random.default_rng(15)
+        ids = rng.integers(0, 200, size=(cfg.batch_size, cfg.seq_len))
+        onehot = np.zeros((cfg.batch_size, 6))
+        onehot[np.arange(cfg.batch_size), rng.integers(0, 6, cfg.batch_size)] = 1.0
+        ws = {}
+        M.train_step(m, ids, onehot, rng=rng, ws=ws)  # fills the workspace
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for key, step_ws in (("warm", ws), ("fresh", None)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                M.train_step(m, ids, onehot, rng=rng, ws=step_ws)
+                peaks[key] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peaks["warm"] <= peaks["fresh"] / 10, peaks
 
 
 class TestFit:
