@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import softmax
+from .model import cross_entropy, softmax
 
 logger = logging.getLogger(__name__)
 
@@ -69,13 +69,11 @@ def bow_features(tokens, vocab):
     return out
 
 
-def features_matrix(feature_dicts, n_features):
-    """Densify a list of sparse feature dicts to (N, n_features) float64."""
-    X = np.zeros((len(feature_dicts), n_features))
-    for row, feats in enumerate(feature_dicts):
-        for idx, count in feats.items():
-            if not 0 <= idx < n_features:
-                raise ValueError(f"feature index {idx} outside 0..{n_features - 1}")
+def features_matrix(token_streams, vocab):
+    """Dense (N, len(vocab)) float64 bag-of-words counts of N token streams."""
+    X = np.zeros((len(token_streams), len(vocab)))
+    for row, stream in enumerate(token_streams):
+        for idx, count in bow_features(stream, vocab).items():
             X[row, idx] = count
     return X
 
@@ -88,9 +86,8 @@ class LinearModel:
 
 
 def _objective(X, onehot, W, b, l2_lambda):
-    probs = softmax(X @ W + b)
-    picked = np.clip((probs * onehot).sum(axis=1), 1e-300, None)
-    return float(-np.mean(np.log(picked)) + 0.5 * l2_lambda * np.sum(W * W))
+    loss = cross_entropy(softmax(X @ W + b), onehot)
+    return float(loss + 0.5 * l2_lambda * np.sum(W * W))
 
 
 def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
@@ -172,6 +169,7 @@ def from_checkpoint(meta, arrays, path):
 
     if meta.get("kind") != "lr":
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'lr'")
+    checkpoint.require_meta(path, meta, ("bow_tokens", "categories"))
     bow, categories = BowVocabulary(meta["bow_tokens"]), meta["categories"]
     checkpoint.require_arrays(path, arrays, {
         "weights": (len(bow), len(categories)), "bias": (len(categories),),

@@ -99,6 +99,13 @@ def load_checkpoint(path):
     return meta, arrays
 
 
+def require_meta(path, meta, keys):
+    """Raise ValueError naming path unless the header meta has every key."""
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {missing}")
+
+
 def require_arrays(path, arrays, shapes):
     """Raise ValueError naming path unless arrays holds exactly the names of
     shapes ({name: shape tuple}), each with its shape."""

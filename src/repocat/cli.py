@@ -349,8 +349,7 @@ def cmd_embed_random(args, cfg):
     records, _ = corpus.read_token_dataset(args.train)
     vocab = _dataset_vocab(records)
     matrix = embedding.random_embedding(
-        len(vocab), cfg["glove.dims"],
-        seed=cfg["glove.seed"], scale=cfg["embed.random_scale"],
+        len(vocab), cfg["glove.dims"], seed=cfg["glove.seed"]
     )
     meta = _artifact_meta(
         cfg, "embed random", train=args.train, vocab_sha256=vocab.sha256(),
@@ -415,9 +414,7 @@ def cmd_train_lr(args, cfg):
     labeled, categories = _train_examples(records)
     streams = [toks for _, toks, _ in labeled]
     bow = baseline.BowVocabulary.build(streams, size=cfg["lr.vocab_size"])
-    features = baseline.features_matrix(
-        [baseline.bow_features(stream, bow) for stream in streams], len(bow)
-    )
+    features = baseline.features_matrix(streams, bow)
     lin = baseline.train_logreg(
         features, [label for _, _, label in labeled], len(categories),
         l2_lambda=cfg["lr.l2"], lr=cfg["lr.learning_rate"],
@@ -457,10 +454,7 @@ def _load_predictor(path):
         lin, bow, categories = baseline.from_checkpoint(meta, arrays, path)
 
         def predict(streams):
-            features = [baseline.bow_features(toks, bow) for toks in streams]
-            return baseline.predict_logreg(
-                lin, baseline.features_matrix(features, len(bow))
-            )
+            return baseline.predict_logreg(lin, baseline.features_matrix(streams, bow))
 
         return predict, categories, kind
     raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")

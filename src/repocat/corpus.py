@@ -452,6 +452,14 @@ def write_token_dataset(path, records, meta=None):
     fileio.write_jsonl(path, rows, meta=meta)
 
 
+def _token_list(path, row, field):
+    """row[field] (default []) after checking it is a list of strings."""
+    value = row.get(field, [])
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
+        raise ValueError(f"{path}: dataset record field {field!r} must be a list of strings")
+    return value
+
+
 def read_token_dataset(path):
     """Returns (list of FunctionTokens, meta)."""
     rows, meta = fileio.read_jsonl(path)
@@ -465,8 +473,8 @@ def read_token_dataset(path):
                 project=row["project"],
                 function=row["function"],
                 category=row["category"],
-                tokens=list(row["tokens"]),
-                descr_tokens=list(row.get("descr_tokens", [])),
+                tokens=_token_list(path, row, "tokens"),
+                descr_tokens=_token_list(path, row, "descr_tokens"),
             )
         )
     return records, meta

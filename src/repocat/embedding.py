@@ -59,7 +59,6 @@ class GloveConfig:
     learning_rate: float = 0.05
     iterations: int = 25
     seed: int = 0
-    distance_weighting: bool = True
 
     def validate(self):
         if self.window < 1:
@@ -153,7 +152,7 @@ def build_cooccurrence(sentences, config):
             tokens[j:][inside] * base + tokens[:-j][inside], return_counts=True
         )
         keys.append(offset_keys)
-        weights.append(n / (j if config.distance_weighting else 1))
+        weights.append(n / j)
     keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
     values = np.bincount(slot, weights=np.concatenate(weights), minlength=len(keys))
     return CooccurrenceTable(keys // base, keys % base, values)
@@ -301,7 +300,8 @@ def load_embedding_text(path, vocab):
 
     Tokens outside the vocabulary are ignored; vocabulary tokens missing from
     the file keep zero vectors, as do padding/unknown.  Inconsistent column
-    counts or duplicate tokens raise ValueError with the line number.
+    counts, values that are not finite floats, or duplicate tokens raise
+    ValueError with the line number.
     """
     rows = {}
     dims = None
@@ -323,9 +323,12 @@ def load_embedding_text(path, vocab):
             if token in rows:
                 raise ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
             try:
-                rows[token] = np.array([float(v) for v in values], dtype=np.float64)
+                vector = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad float: {exc}") from exc
+            if not np.isfinite(vector).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite vector value")
+            rows[token] = vector
     if dims is None:
         raise ValueError(f"{path}: no embedding rows found")
     matrix = np.zeros((len(vocab), dims), dtype=np.float64)

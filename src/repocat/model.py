@@ -1,13 +1,15 @@
 """Function-level classifier: frozen embedding -> conv -> maxpool -> LSTM
 -> dense -> softmax, trained with Adamax, in numpy.
 
-`fit` trains a TRAIN_DTYPE (float32) working copy of the parameters, the
-optimizer state and the embedding table (cast once per `fit`), and returns
-float64 parameters (the trained values widened exactly) with the caller's
-float64 embedding.  Everything else runs in the dtype of `model.params`,
-which is float64 for a fresh, fitted or loaded model: inference,
-`conv_activations` and `gradient_check`.  The forward pass casts looked-up
-rows only when the table's dtype differs from the parameters'.
+`fit` trains a TRAIN_DTYPE (float32) working copy of the parameters and
+the embedding table (cast once per `fit`), and returns float64 parameters
+(the trained values widened exactly) with the caller's float64 embedding.
+The optimizer state (an `Adamax`) belongs to the `fit` call: a model holds
+only parameters, its frozen embedding and its training history.
+Everything else runs in the dtype of `model.params`, which is float64 for
+a fresh, fitted or loaded model: inference, `conv_activations` and
+`gradient_check`.  The forward pass casts looked-up rows only when the
+table's dtype differs from the parameters'.
 
 The forward and backward passes run time-major: the lookup is
 `embedding[ids.T]`, and the conv, pool and LSTM activations are
@@ -43,8 +45,9 @@ conv fans are kernel*embed_dims and filters; LSTM per-gate fans are
 which starts at one.  Gate order in the stacked LSTM matrices is i, f, g, o.
 
 Training picks the best of `epochs` per-epoch snapshots by function-level
-accuracy on a withheld-project validation slice.  Dropout is inverted
-(scaling at train time), so inference needs no rescaling.
+accuracy on a withheld-project validation slice.  Dropout applies exactly
+when the forward pass is given an rng, as every train step is; it is
+inverted (scaling at train time), so inference needs no rescaling.
 """
 
 import logging
@@ -122,31 +125,45 @@ class ClassifierConfig:
 
 
 class ClassifierModel:
-    """Parameters + frozen embedding + Adamax state."""
+    """Parameters + frozen embedding + training history."""
 
     def __init__(self, config, embedding, params, history=None):
         self.config = config
         self.embedding = embedding
         self.params = params
-        self.opt_m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.opt_u = {k: np.zeros_like(v) for k, v in params.items()}
-        self.opt_t = 0
         self.history = history or {}
 
-    def snapshot_params(self):
-        return {k: v.copy() for k, v in self.params.items()}
-
     def astype(self, dtype):
-        """Copy whose parameters, Adamax state and embedding table are
-        `dtype`; the history, and an embedding already in `dtype`, are
-        shared."""
-        def cast(arrays):
-            return {k: v.astype(dtype) for k, v in arrays.items()}
-
+        """Copy whose parameters and embedding table are `dtype`; the
+        history, and an embedding already in `dtype`, are shared."""
+        params = {k: v.astype(dtype) for k, v in self.params.items()}
         embedding = self.embedding.astype(dtype, copy=False)
-        copy = ClassifierModel(self.config, embedding, cast(self.params), self.history)
-        copy.opt_m, copy.opt_u, copy.opt_t = cast(self.opt_m), cast(self.opt_u), self.opt_t
-        return copy
+        return ClassifierModel(self.config, embedding, params, self.history)
+
+
+class Adamax:
+    """Adamax state for one set of parameters, in their dtype:
+    m = b1 m + (1-b1) g;  u = max(b2 u, |g|);
+    param -= lr * (m / (1 - b1^t)) / (u + eps)."""
+
+    def __init__(self, config, params):
+        self.config = config
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.u = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+    def step(self, params, grads):
+        """Update `params` in place from `grads`, one step."""
+        cfg = self.config
+        self.t += 1
+        correction = 1.0 - cfg.beta1 ** self.t
+        for name, grad in grads.items():
+            m = self.m[name]
+            u = self.u[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * grad
+            np.maximum(cfg.beta2 * u, np.abs(grad), out=u)
+            params[name] -= cfg.learning_rate * (m / correction) / (u + cfg.epsilon)
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -214,9 +231,10 @@ def _buf(ws, name, shape, dtype):
     return arr
 
 
-def _forward(model, ids, training=False, rng=None, want_cache=False, ws=None):
+def _forward(model, ids, rng=None, want_cache=False, ws=None):
     """Batched forward pass; ids is (B, seq_len) int.
 
+    Dropout applies, drawing from `rng`, exactly when an rng is given.
     Runs time-major: activations are (steps, B, width), so each time step is
     one contiguous block.  Returns (probs, cache); cache is None unless
     want_cache.  Without a cache, the conv and pool activations are dropped
@@ -314,9 +332,7 @@ def _forward(model, ids, training=False, rng=None, want_cache=False, ws=None):
     hid_pre = H[T2] @ p["hid_w"] + p["hid_b"]
     Hact = np.maximum(hid_pre, 0.0)
     mask = None
-    if training and cfg.dropout_level > 0.0:
-        if rng is None:
-            raise ValueError("training with dropout requires an rng")
+    if rng is not None and cfg.dropout_level > 0.0:
         keep = 1.0 - cfg.dropout_level
         mask = ((rng.random(Hact.shape) < keep) / keep).astype(dt, copy=False)
         Hd = Hact * mask
@@ -405,27 +421,13 @@ def cross_entropy(probs, onehot, floor=1e-300):
     return float(-np.mean(np.log(picked)))
 
 
-def adamax_update(model, grads):
-    """One Adamax step: m = b1 m + (1-b1) g;  u = max(b2 u, |g|);
-    param -= lr * (m / (1 - b1^t)) / (u + eps)."""
-    cfg = model.config
-    model.opt_t += 1
-    correction = 1.0 - cfg.beta1 ** model.opt_t
-    for name, grad in grads.items():
-        m = model.opt_m[name]
-        u = model.opt_u[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grad
-        np.maximum(cfg.beta2 * u, np.abs(grad), out=u)
-        model.params[name] -= cfg.learning_rate * (m / correction) / (u + cfg.epsilon)
-
-
-def train_step(model, ids, onehot, rng=None, ws=None):
-    """Forward + backward + Adamax on one minibatch; returns the batch loss.
+def train_step(model, opt, ids, onehot, rng, ws=None):
+    """Forward (with dropout drawn from `rng`) + backward + one step of the
+    Adamax `opt` on one minibatch; returns the batch loss.
 
     `ws` is a workspace dict (see `_buf`) for the large activations and
     gradients; passing the same one to every step of a run reuses them."""
-    probs, cache = _forward(model, ids, training=True, rng=rng, want_cache=True, ws=ws)
+    probs, cache = _forward(model, ids, rng=rng, want_cache=True, ws=ws)
     loss = cross_entropy(probs, onehot)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss: {loss}")
@@ -433,19 +435,17 @@ def train_step(model, ids, onehot, rng=None, ws=None):
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient in {name}")
-    adamax_update(model, grads)
+    opt.step(model.params, grads)
     return loss
 
 
 def predict_proba(model, ids, batch_size=PREDICT_ROWS):
     """Probabilities for (N, seq_len) ids, batch_size rows per forward
-    pass; returns (N, C).  A 1-D ids is one sequence."""
+    pass; returns (N, C)."""
     ids = np.asarray(ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     out = np.empty((ids.shape[0], model.config.num_categories))
     for lo in range(0, ids.shape[0], batch_size):
-        probs, _ = _forward(model, ids[lo : lo + batch_size], training=False)
+        probs, _ = _forward(model, ids[lo : lo + batch_size])
         out[lo : lo + probs.shape[0]] = probs
     return out
 
@@ -482,8 +482,9 @@ def fit(model, examples):
     embedding is frozen throughout.  The returned model carries a `history`
     dict with per-epoch losses and validation accuracies.
 
-    Training runs on a TRAIN_DTYPE copy of the parameters and Adamax state,
-    so `model` itself is left unchanged; the returned parameters are float64.
+    Training runs on a TRAIN_DTYPE copy of the parameters, with Adamax state
+    that lives for this call, so `model` itself is left unchanged; the
+    returned parameters are float64.
     """
     cfg = model.config
     if not examples:
@@ -523,6 +524,7 @@ def fit(model, examples):
     yv = np.array([ex.label for ex in val_ex])
 
     work = model.astype(TRAIN_DTYPE)
+    opt = Adamax(cfg, work.params)
     ws = {}  # the train steps' activations and gradients, reused step to step
     snapshots = []
     val_accuracies = []
@@ -532,10 +534,10 @@ def fit(model, examples):
         losses = []
         for lo in range(0, len(perm), cfg.batch_size):
             sel = perm[lo : lo + cfg.batch_size]
-            losses.append(train_step(work, X[sel], Y[sel], rng=rng, ws=ws))
+            losses.append(train_step(work, opt, X[sel], Y[sel], rng, ws=ws))
         probs = predict_proba(work, Xv)
         acc = float(np.mean(probs.argmax(axis=1) == yv))
-        snapshots.append(work.snapshot_params())
+        snapshots.append({k: v.copy() for k, v in work.params.items()})
         val_accuracies.append(acc)
         epoch_losses.append(float(np.mean(losses)))
         logger.info("epoch %d/%d: train loss %.4f, val accuracy %.4f",
@@ -618,11 +620,15 @@ def from_checkpoint(meta, arrays, path):
 
     if meta.get("kind") != "nn":
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'nn'")
+    checkpoint.require_meta(path, meta, ("config", "vocab_tokens", "categories"))
     config = dict(meta["config"])
     # older headers name the optimizer, which is always Adamax
     if config.pop("optimizer", "adamax") != "adamax":
         raise ValueError(f"{path}: unsupported optimizer {meta['config']['optimizer']!r}")
-    config = ClassifierConfig(**config)
+    try:
+        config = ClassifierConfig(**config)
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad classifier config: {exc}") from None
     vocab = Vocabulary(meta["vocab_tokens"])
     if vocab.sha256() != meta.get("vocab_sha256"):
         raise ValueError(f"{path}: vocabulary hash mismatch; checkpoint corrupt")

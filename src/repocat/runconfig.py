@@ -10,12 +10,11 @@ produced it, and identical settings reproduce identical bytes.
 Where the keys come from: ``glove.*``, ``nn.*`` and ``synth.*`` are the
 fields of ``embedding.GloveConfig``, ``model.ClassifierConfig`` and
 ``synth.SynthConfig`` with their defaults (less the classifier fields the
-data or the code fixes); ``data.seq_len``, ``split.*``, ``embed.random_scale``
-and ``lr.*`` are declared here.
+data or the code fixes); ``data.seq_len``, ``split.*`` and ``lr.*`` are
+declared here.  Every value is an integer or a float; there are no booleans.
 
 File format: UTF-8 text, one ``key = value`` pair per line; blank lines and
-lines starting with ``#`` are ignored.  Booleans accept true/false/yes/no/
-on/off/1/0 in any case.
+lines starting with ``#`` are ignored.
 """
 
 from dataclasses import fields
@@ -44,7 +43,6 @@ DEFAULTS = {
     "split.holdout_per_category": 5,
     "split.per_category_count": 600,
     "split.seed": 1,
-    "embed.random_scale": 0.5,
     "lr.vocab_size": baseline.DEFAULT_VOCAB_SIZE,
     "lr.l2": 1e-4,
     "lr.learning_rate": 0.1,
@@ -61,30 +59,6 @@ DEFAULTS.update(
 SEED_KEYS = tuple(key for key in DEFAULTS if key.endswith(".seed"))
 
 
-def parse_value(key, text):
-    """Coerce `text` to the type of the key's default."""
-    default = DEFAULTS[key]
-    text = text.strip()
-    if isinstance(default, bool):
-        lowered = text.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{key}: expected an integer, got {text!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise ValueError(f"{key}: expected a number, got {text!r}") from None
-    return text
-
-
 class RunConfig:
     """Typed view over the flat key space, settable from a file."""
 
@@ -95,21 +69,22 @@ class RunConfig:
         return self.values[key]
 
     def set(self, key, value):
+        """Set `key`.  Text is parsed as the type of the key's default, an
+        int is promoted for a float key, and any other value is rejected."""
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key: {key!r}")
-        if isinstance(value, str) and not isinstance(DEFAULTS[key], str):
-            value = parse_value(key, value)
-        default = DEFAULTS[key]
-        if isinstance(default, bool) != isinstance(value, bool) or not isinstance(
-            value, type(default)
-        ):
-            # Allow int -> float promotion, nothing else.
-            if isinstance(default, float) and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            else:
-                raise ValueError(
-                    f"{key}: expected {type(default).__name__}, got {value!r}"
-                )
+        kind = type(DEFAULTS[key])
+        if isinstance(value, str):
+            text = value.strip()
+            try:
+                value = kind(text)
+            except ValueError:
+                noun = "an integer" if kind is int else "a number"
+                raise ValueError(f"{key}: expected {noun}, got {text!r}") from None
+        elif kind is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{key}: expected {kind.__name__}, got {value!r}")
         self.values[key] = value
 
     def override_seeds(self, seed):
@@ -130,14 +105,10 @@ class RunConfig:
                         f"{path}:{lineno}: expected 'key = value', got {line!r}"
                     )
                 key, _, text = line.partition("=")
-                key = key.strip()
-                if key not in DEFAULTS:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    value = parse_value(key, text)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                self.set(key, value)
+                    self.set(key.strip(), text)
+                except (KeyError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
         return self
 
     def meta(self):

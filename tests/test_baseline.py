@@ -49,12 +49,8 @@ class TestBowFeatures:
         assert B.bow_features(["junk", "stuff"], self.vocab) == {}
 
     def test_matrix_densification(self):
-        X = B.features_matrix([{0: 2}, {1: 1}, {}], 2)
+        X = B.features_matrix([["alpha", "alpha"], ["beta", "junk"], []], self.vocab)
         np.testing.assert_array_equal(X, [[2, 0], [0, 1], [0, 0]])
-
-    def test_matrix_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            B.features_matrix([{5: 1}], 2)
 
     def test_every_bow_column_occurs_in_training(self):
         # train lr sizes its matrix by len(vocab): no column is left empty
@@ -62,7 +58,7 @@ class TestBowFeatures:
         streams = [[f"t{int(i)}" for i in rng.integers(0, 12, 9)] for _ in range(20)]
         for size in (3, 8, 1800):
             vocab = B.BowVocabulary.build(streams, size=size)
-            X = B.features_matrix([B.bow_features(s, vocab) for s in streams], len(vocab))
+            X = B.features_matrix(streams, vocab)
             assert X.shape == (20, min(size, 12))
             assert (X.sum(axis=0) > 0).all()
 
@@ -132,7 +128,8 @@ class TestTrainLogreg:
 class TestPredict:
     def test_probabilities_normalize(self):
         model = B.LinearModel(np.zeros((3, 4)), np.zeros(4), [])
-        probs = B.predict_logreg(model, B.features_matrix([{0: 1}, {}, {2: 3}], 3))
+        vocab = B.BowVocabulary(["a", "b", "c"])
+        probs = B.predict_logreg(model, B.features_matrix([["a"], [], ["c"] * 3], vocab))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
         assert probs.shape == (3, 4)
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import repocat
-from repocat import cli, corpus, fileio, runconfig
+from repocat import checkpoint, cli, corpus, fileio, runconfig
 
 
 def run(*argv):
@@ -100,6 +101,22 @@ def test_eval_nn_writes_report_and_verdicts(pipeline, capsys):
 def test_eval_lr_runs(pipeline, capsys):
     assert run("eval", pipeline["lr"], pipeline["holdout"], "--variant", "co") == 0
     assert "weighted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind,edit,message", [
+    ("lr", lambda meta: meta.pop("bow_tokens"), r"checkpoint header lacks \['bow_tokens'\]"),
+    ("nn", lambda meta: meta.pop("config"), r"checkpoint header lacks \['config'\]"),
+    ("nn", lambda meta: meta["config"].update(bogus=1),
+     "bad classifier config: .*unexpected keyword argument 'bogus'"),
+], ids=["lr-no-bow_tokens", "nn-no-config", "nn-unknown-config-field"])
+def test_eval_malformed_header_names_the_file(pipeline, capsys, kind, edit, message):
+    meta, arrays = checkpoint.load_checkpoint(pipeline[kind])
+    edit(meta)
+    bad = pipeline["work"] / f"bad_{kind}.ckpt"
+    checkpoint.save_checkpoint(bad, meta, arrays)
+    assert run("eval", bad, pipeline["holdout"], "--variant", "co") == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}: {message}\n", err), err
 
 
 def test_eval_json_output(pipeline, capsys):
@@ -250,6 +267,16 @@ def test_config_file_unknown_key(pipeline, capsys):
                "--train", pipeline["train"],
                "-o", pipeline["work"] / "x.txt") == 1
     assert "glove.bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["glove.distance_weighting", "embed.random_scale"])
+def test_config_file_naming_a_removed_key_fails(pipeline, capsys, key):
+    cfg_path = pipeline["work"] / "old.cfg"
+    cfg_path.write_text(f"glove.seed = 3\n{key} = 1\n")
+    assert run("--config", cfg_path, "embed", "random",
+               "--train", pipeline["train"],
+               "-o", pipeline["work"] / "x.txt") == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}:2: unknown config key: '{key}'\n"
 
 
 def test_rerun_is_byte_identical(pipeline):

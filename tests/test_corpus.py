@@ -306,6 +306,22 @@ def test_read_labels(tmp_path):
         corpus.read_labels(dup)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tokens", "abc"), ("tokens", {"a": 1}), ("tokens", ["a", 1]),
+    ("descr_tokens", "mixer"), ("descr_tokens", [None]),
+], ids=["tokens-str", "tokens-dict", "tokens-int-item", "descr-str", "descr-null-item"])
+def test_token_dataset_rejects_non_list_token_fields(tmp_path, field, value):
+    good = {"project": "p", "function": "f", "category": "c",
+            "tokens": ["p", "f", "x"], "descr_tokens": ["mixer"]}
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(ValueError, match=rf"data\.jsonl: .*'{field}' must be a list of strings"):
+        corpus.read_token_dataset(path)
+    path.write_text(json.dumps(good) + "\n")
+    records, _ = corpus.read_token_dataset(path)
+    assert records[0].tokens == ["p", "f", "x"] and records[0].descr_tokens == ["mixer"]
+
+
 def _names(source):
     return [f.function_name for f in corpus.extract_functions(source).functions]
 

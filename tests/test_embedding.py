@@ -78,11 +78,6 @@ class TestCooccurrence:
         with pytest.raises(ValueError, match="non-negative"):
             embedding.build_cooccurrence([[2, -1]], GloveConfig(window=2))
 
-    def test_distance_weighting_off(self):
-        cfg = GloveConfig(window=3, distance_weighting=False)
-        table = embedding.build_cooccurrence([[2, 3, 4]], cfg)
-        assert table[(4, 2)] == 1.0
-
 
 class TestEmbeddingSentences:
     records = [
@@ -361,6 +356,13 @@ class TestEmbeddingTextIO:
         path = tmp_path / "glove.txt"
         path.write_text("alpha 1.0 2.0\nbeta 3.0\n")
         with pytest.raises(ValueError, match="line 2"):
+            embedding.load_embedding_text(path, self._vocab())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "glove.txt"
+        path.write_text(f"alpha 1.0 2.0\nbeta 3.0 {value}\n")
+        with pytest.raises(ValueError, match=r"glove\.txt: line 2: non-finite"):
             embedding.load_embedding_text(path, self._vocab())
 
     def test_duplicate_token_rejected(self, tmp_path):

@@ -121,7 +121,7 @@ class TestForward:
         m = make_model(seed=1)
         for _ in range(5):
             ids = rng.integers(0, 12, size=m.config.seq_len)
-            got = M.predict_proba(m, ids)[0]
+            got = M.predict_proba(m, ids[None, :])[0]
             want = oracle_forward(m, ids)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -141,18 +141,11 @@ class TestForward:
         batched = M.predict_proba(m, ids, batch_size=2)
         np.testing.assert_allclose(whole, batched, atol=1e-15)
 
-    def test_predict_proba_accepts_one_sequence(self):
-        m = make_model()
-        ids = np.random.default_rng(3).integers(0, 12, size=m.config.seq_len)
-        probs = M.predict_proba(m, ids)
-        assert probs.shape == (1, 3)
-        np.testing.assert_array_equal(probs, M.predict_proba(m, ids[None, :]))
-
     @pytest.mark.parametrize("chunk", [1, 16, 37])
     def test_chunked_rows_match_per_row_calls(self, chunk):
         m = make_model(seed=6)
         ids = np.random.default_rng(6).integers(0, 12, size=(37, m.config.seq_len))
-        rows = np.array([M.predict_proba(m, row)[0] for row in ids])
+        rows = np.array([M.predict_proba(m, row[None, :])[0] for row in ids])
         np.testing.assert_allclose(
             M.predict_proba(m, ids, batch_size=chunk), rows, rtol=0, atol=1e-12
         )
@@ -169,16 +162,12 @@ class TestForward:
     def test_dropout_requires_rng_and_scales(self):
         m = make_model(tiny_config(dropout_level=0.5))
         ids = np.zeros((4, m.config.seq_len), dtype=np.int64)
-        with pytest.raises(ValueError):
-            M._forward(m, ids, training=True)
-        _, cache = M._forward(
-            m, ids, training=True, rng=np.random.default_rng(0), want_cache=True
-        )
+        _, cache = M._forward(m, ids, rng=np.random.default_rng(0), want_cache=True)
         mask = cache["mask"]
         assert set(np.unique(mask)) <= {0.0, 2.0}  # inverted dropout at p=0.5
         # inference path ignores dropout entirely
-        p1, _ = M._forward(m, ids, training=False)
-        p2, _ = M._forward(m, ids, training=False)
+        p1, _ = M._forward(m, ids)
+        p2, _ = M._forward(m, ids)
         np.testing.assert_array_equal(p1, p2)
 
 
@@ -306,25 +295,27 @@ class TestAdamax:
             )
             for n in M.PARAM_NAMES
         }
+        opt = M.Adamax(cfg, m.params)
         for g in grads_seq:
-            M.adamax_update(m, g)
+            opt.step(m.params, g)
         for n in M.PARAM_NAMES:
             np.testing.assert_allclose(m.params[n], want[n], atol=1e-12)
 
     def test_zero_gradients_leave_parameters_unchanged(self):
         m = make_model(seed=1)
-        before = m.snapshot_params()
+        before = {n: v.copy() for n, v in m.params.items()}
         zero = {n: np.zeros_like(m.params[n]) for n in M.PARAM_NAMES}
-        M.adamax_update(m, zero)
+        M.Adamax(m.config, m.params).step(m.params, zero)
         for n in M.PARAM_NAMES:
             np.testing.assert_array_equal(m.params[n], before[n])
 
     def test_step_counter_advances(self):
         m = make_model()
         zero = {n: np.zeros_like(m.params[n]) for n in M.PARAM_NAMES}
-        M.adamax_update(m, zero)
-        M.adamax_update(m, zero)
-        assert m.opt_t == 2
+        opt = M.Adamax(m.config, m.params)
+        opt.step(m.params, zero)
+        opt.step(m.params, zero)
+        assert opt.t == 2
 
 
 def synthetic_examples(cfg, vocab_size=12, projects_per_cat=6, funcs=6, seed=0):
@@ -349,7 +340,8 @@ class TestTrainStep:
         X = np.stack([e.ids for e in ex[:16]])
         Y = np.zeros((16, 2))
         Y[np.arange(16), [e.label for e in ex[:16]]] = 1.0
-        losses = [M.train_step(m, X, Y) for _ in range(30)]
+        opt, rng = M.Adamax(cfg, m.params), np.random.default_rng(5)
+        losses = [M.train_step(m, opt, X, Y, rng) for _ in range(30)]
         assert losses[-1] < losses[0]
 
     def test_non_finite_loss_aborts(self):
@@ -358,8 +350,9 @@ class TestTrainStep:
         ids = np.full((2, m.config.seq_len), 3, dtype=np.int64)
         Y = np.zeros((2, 3))
         Y[:, 0] = 1.0
+        opt = M.Adamax(m.config, m.params)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            M.train_step(m, ids, Y)
+            M.train_step(m, opt, ids, Y, np.random.default_rng(0))
 
 
 class TestWorkspace:
@@ -367,13 +360,14 @@ class TestWorkspace:
 
     def _three_steps(self, ws):
         m = make_model(tail_config(), seed=14).astype(M.TRAIN_DTYPE)
+        opt = M.Adamax(m.config, m.params)
         rng = np.random.default_rng(14)
         losses = []
         for rows in (4, 3, 4):
             ids = rng.integers(0, 12, size=(rows, m.config.seq_len))
             onehot = np.zeros((rows, 3))
             onehot[np.arange(rows), rng.integers(0, 3, rows)] = 1.0
-            losses.append(M.train_step(m, ids, onehot, ws=ws))
+            losses.append(M.train_step(m, opt, ids, onehot, rng, ws=ws))
         return losses, m.params
 
     def test_shared_workspace_matches_fresh_buffers(self, monkeypatch):
@@ -399,19 +393,20 @@ class TestWorkspace:
         cfg = ClassifierConfig(num_categories=6)
         emb = np.random.default_rng(15).normal(size=(200, cfg.embed_dims))
         m = M.init_model(cfg, emb, seed=15).astype(M.TRAIN_DTYPE)
+        opt = M.Adamax(cfg, m.params)
         rng = np.random.default_rng(15)
         ids = rng.integers(0, 200, size=(cfg.batch_size, cfg.seq_len))
         onehot = np.zeros((cfg.batch_size, 6))
         onehot[np.arange(cfg.batch_size), rng.integers(0, 6, cfg.batch_size)] = 1.0
         ws = {}
-        M.train_step(m, ids, onehot, rng=rng, ws=ws)  # fills the workspace
+        M.train_step(m, opt, ids, onehot, rng, ws=ws)  # fills the workspace
         peaks = {}
         tracemalloc.start()
         try:
             for key, step_ws in (("warm", ws), ("fresh", None)):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                M.train_step(m, ids, onehot, rng=rng, ws=step_ws)
+                M.train_step(m, opt, ids, onehot, rng, ws=step_ws)
                 peaks[key] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -496,21 +491,22 @@ class TestTrainingPrecision:
         ids = rng.integers(2, 12, size=(4, m.config.seq_len))
         onehot = np.zeros((4, 3))
         onehot[np.arange(4), rng.integers(0, 3, 4)] = 1.0
-        _, cache = M._forward(m32, ids, training=True, rng=rng, want_cache=True)
+        _, cache = M._forward(m32, ids, rng=rng, want_cache=True)
         for name, arr in cache.items():
             if name != "pool_mask":
                 assert arr.dtype == np.float32, name
         grads = M._backward(m32, cache, onehot)
         for name, grad in grads.items():
             assert grad.dtype == np.float32, name
-        M.adamax_update(m32, grads)
-        for store in (m32.params, m32.opt_m, m32.opt_u):
+        opt = M.Adamax(m32.config, m32.params)
+        opt.step(m32.params, grads)
+        for store in (m32.params, opt.m, opt.u):
             assert {v.dtype for v in store.values()} == {np.dtype(np.float32)}
 
     def test_fit_returns_float64_widened_from_training_dtype(self):
         cfg = tiny_config(num_categories=2, epochs=2, batch_size=16, seed=4)
         m = make_model(cfg, seed=4)
-        before = m.snapshot_params()
+        before = {n: v.copy() for n, v in m.params.items()}
         best = M.fit(m, synthetic_examples(cfg, seed=4))
         assert best.embedding is m.embedding
         assert best.embedding.dtype == np.float64

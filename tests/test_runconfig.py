@@ -5,13 +5,13 @@ import dataclasses
 import pytest
 
 from repocat import embedding, model, synth
-from repocat.runconfig import DEFAULTS, SEED_KEYS, RunConfig, parse_value
+from repocat.runconfig import DEFAULTS, SEED_KEYS, RunConfig
 
 
 def test_defaults_mirror_module_dataclasses():
     glove = embedding.GloveConfig()
     for name in ("window", "dims", "x_max", "alpha", "learning_rate",
-                 "iterations", "seed", "distance_weighting"):
+                 "iterations", "seed"):
         assert DEFAULTS[f"glove.{name}"] == getattr(glove, name)
     nn = model.ClassifierConfig(num_categories=2)
     for name in ("filters", "kernel_size", "strides", "pool_size",
@@ -28,8 +28,7 @@ def test_keys_are_exactly_the_documented_set():
     # or dropping one changes every artifact's bytes.
     assert sorted(DEFAULTS) == [
         "data.seq_len",
-        "embed.random_scale",
-        "glove.alpha", "glove.dims", "glove.distance_weighting",
+        "glove.alpha", "glove.dims",
         "glove.iterations", "glove.learning_rate", "glove.seed",
         "glove.window", "glove.x_max",
         "lr.batch_size", "lr.epochs", "lr.l2", "lr.learning_rate", "lr.seed",
@@ -77,8 +76,6 @@ def test_string_values_are_coerced_to_key_type():
     assert cfg["nn.epochs"] == 12 and isinstance(cfg["nn.epochs"], int)
     cfg.set("glove.alpha", "0.5")
     assert cfg["glove.alpha"] == 0.5
-    cfg.set("glove.distance_weighting", "off")
-    assert cfg["glove.distance_weighting"] is False
 
 
 def test_int_promotes_to_float_but_not_reverse():
@@ -95,25 +92,13 @@ def test_bool_is_not_a_valid_int_or_float():
         cfg.set("nn.epochs", True)
     with pytest.raises(ValueError):
         cfg.set("glove.x_max", True)
-    with pytest.raises(ValueError):
-        cfg.set("glove.distance_weighting", 1)
-
-
-@pytest.mark.parametrize("text,expected", [
-    ("true", True), ("TRUE", True), ("Yes", True), ("on", True), ("1", True),
-    ("false", False), ("No", False), ("OFF", False), ("0", False),
-])
-def test_parse_value_booleans(text, expected):
-    assert parse_value("glove.distance_weighting", text) is expected
 
 
 def test_parse_value_errors_name_the_key():
-    with pytest.raises(ValueError, match="glove.distance_weighting"):
-        parse_value("glove.distance_weighting", "maybe")
     with pytest.raises(ValueError, match="nn.epochs"):
-        parse_value("nn.epochs", "three")
+        RunConfig().set("nn.epochs", "three")
     with pytest.raises(ValueError, match="glove.alpha"):
-        parse_value("glove.alpha", "x")
+        RunConfig().set("glove.alpha", "x")
 
 
 def test_override_seeds_touches_every_stage_seed():
@@ -128,19 +113,16 @@ def test_override_seeds_touches_every_stage_seed():
 def test_from_file_round_trips_typed_values(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
-        "glove.distance_weighting = false\n"
         "glove.x_max = 10.0\n"
         "nn.epsilon = 1e-06\n"
         "nn.seed = 4\n"
     )
     cfg = RunConfig().from_file(path)
     expected = RunConfig()
-    expected.set("glove.distance_weighting", False)
     expected.set("glove.x_max", 10.0)
     expected.set("nn.epsilon", 1e-6)
     expected.set("nn.seed", 4)
     assert cfg.values == expected.values
-    assert cfg["glove.distance_weighting"] is False
     assert isinstance(cfg["glove.x_max"], float)
 
 
