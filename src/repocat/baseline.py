@@ -3,9 +3,12 @@
 Features are raw counts of the top-N training tokens (N=1800 by default),
 ranked by frequency with ties broken by first appearance in the training
 stream.  Counts are taken over the full, untruncated representation token
-sequence.  The classifier is a hand-rolled softmax regression trained with
-deterministic mini-batch gradient descent (cross-entropy + L2 on weights,
-biases unpenalized).
+sequence, and held as `BowCounts`: CSR arrays (each row's feature indices
+and counts), since a function uses a few dozen of the N tokens.  The
+classifier is a hand-rolled softmax regression trained with deterministic
+mini-batch gradient descent (cross-entropy + L2 on weights, biases
+unpenalized).  Training multiplies the counts as a SciPy CSR matrix,
+imported only there; prediction scatters them into a dense matrix.
 """
 
 import logging
@@ -69,13 +72,38 @@ def bow_features(tokens, vocab):
     return out
 
 
+@dataclass
+class BowCounts:
+    """(N, n_features) counts in CSR layout: row r's features are
+    indices[indptr[r]:indptr[r + 1]] (ascending) with counts data[...]."""
+
+    data: np.ndarray  # float64 counts
+    indices: np.ndarray  # feature index of each count
+    indptr: np.ndarray  # (N + 1,) row starts
+    n_features: int
+
+    @property
+    def shape(self):
+        return (len(self.indptr) - 1, self.n_features)
+
+    def dense(self):
+        """The counts as a dense (N, n_features) float64 matrix."""
+        X = np.zeros(self.shape)
+        X[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return X
+
+
 def features_matrix(token_streams, vocab):
-    """Dense (N, len(vocab)) float64 bag-of-words counts of N token streams."""
-    X = np.zeros((len(token_streams), len(vocab)))
-    for row, stream in enumerate(token_streams):
-        for idx, count in bow_features(stream, vocab).items():
-            X[row, idx] = count
-    return X
+    """Bag-of-words counts of N token streams, as (N, len(vocab)) BowCounts."""
+    data, indices, indptr = [], [], [0]
+    for stream in token_streams:
+        feats = bow_features(stream, vocab)
+        cols = sorted(feats)
+        indices.extend(cols)
+        data.extend(feats[idx] for idx in cols)
+        indptr.append(len(indices))
+    return BowCounts(np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
+                     np.array(indptr, dtype=np.int64), len(vocab))
 
 
 @dataclass
@@ -94,11 +122,14 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
                  epochs=50, batch_size=128, seed=0):
     """Softmax regression via deterministic mini-batch gradient descent.
 
-    features: dense (N, F) count matrix (see features_matrix).
+    features: (N, F) BowCounts (see features_matrix), multiplied as a
+    SciPy CSR matrix, so no batch copies a dense row.
     labels: category indices in [0, num_categories).  The recorded
     epoch_losses[k] is the full objective at the start of epoch k, so with
     batch_size >= N (full batch) the sequence is the classic descent curve.
     """
+    from scipy import sparse  # imported here: eval and the nn commands never load it
+
     if num_categories < 2:
         raise ValueError(f"need >= 2 categories, got {num_categories}")
     labels = np.asarray(labels, dtype=np.int64)
@@ -108,7 +139,8 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
         raise ValueError("training labels cover a single category; nothing to separate")
     if labels.min() < 0 or labels.max() >= num_categories:
         raise ValueError("label outside 0..num_categories-1")
-    X = np.asarray(features, dtype=np.float64)
+    X = sparse.csr_array((features.data, features.indices, features.indptr),
+                         shape=features.shape)
     if X.shape[0] != labels.size:
         raise ValueError(f"{X.shape[0]} feature rows vs {labels.size} labels")
 
@@ -141,12 +173,13 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
 
 
 def predict_logreg(model, features):
-    """(N, C) probabilities for a dense (N, n_features) matrix."""
-    X = np.asarray(features, dtype=np.float64)
+    """(N, C) probabilities for (N, n_features) BowCounts."""
     n_features = model.weights.shape[0]
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise ValueError(f"feature matrix shape {X.shape}, expected (N, {n_features})")
-    return softmax(X @ model.weights + model.bias)
+    if features.n_features != n_features:
+        raise ValueError(
+            f"feature matrix shape {features.shape}, expected (N, {n_features})"
+        )
+    return softmax(features.dense() @ model.weights + model.bias)
 
 
 def save_baseline(path, model, bow_vocab, categories, extra_meta=None):

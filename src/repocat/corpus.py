@@ -468,6 +468,9 @@ def read_token_dataset(path):
         missing = {"project", "function", "category", "tokens"} - set(row)
         if missing:
             raise ValueError(f"{path}: dataset record missing fields {sorted(missing)}")
+        for field in ("project", "function", "category"):
+            if not isinstance(row[field], str):
+                raise ValueError(f"{path}: dataset record field {field!r} must be a string")
         records.append(
             FunctionTokens(
                 project=row["project"],

@@ -22,14 +22,20 @@ For speed the nonzero entries are processed in seeded-shuffled chunks.
 Gradients within a chunk are taken at chunk-start parameters rather than
 strictly sequentially, and every update a chunk makes to a row divides by
 the row's chunk-start accumulator, so each side takes one step per chunk on
-the rows the chunk touches: the chunk's gradients and squared gradients are
-summed per row (np.bincount), then W -= lr * sum(g) / sqrt(G) and
-G += sum(g^2) on those rows.  The cost of a chunk follows the chunk, not the
-vocabulary.  The loss at initialization is evaluated chunk by chunk too, so
-no step gathers more than one chunk's rows.  Deterministic for a fixed
-seed.  Training stops with FloatingPointError when an iteration's loss is
-not finite or exceeds DIVERGENCE_FACTOR times the initial loss: too large a
-step or chunk makes the loss blow up while it is still finite.
+the rows the chunk touches: W -= lr * sum(g) / sqrt(G) and G += sum(g^2)
+on those rows.  The per-row sums are sparse products (SciPy): A, a CSR
+matrix with one row per touched target row and one column per touched
+context row, holds the chunk's f(X_ij) * diff_ij, and since the table's
+pairs are distinct each cell holds at most one entry.  So sum(g) for W's
+rows is A @ Wt[cols] and sum(g^2) is (A * A) @ Wt[cols]^2, and A's
+transpose gives Wt's, all from chunk-start rows.  The cost of a chunk
+follows the chunk, not the vocabulary.  The row dot products are taken a
+block of entries at a time, and the loss at initialization chunk by chunk,
+so no step gathers more than one block's rows per entry.  Deterministic
+for a fixed seed.  Training stops with FloatingPointError when an
+iteration's loss is not finite or exceeds DIVERGENCE_FACTOR times the
+initial loss: too large a step or chunk makes the loss blow up while it is
+still finite.
 """
 
 import itertools
@@ -48,6 +54,12 @@ STRATEGIES = ("code-only", "code-description")
 # An iteration whose mean loss exceeds this multiple of the loss at
 # initialization has diverged; healthy runs fall below the initial loss.
 DIVERGENCE_FACTOR = 10.0
+
+# Entries per gather in GloVe's row dot products.  On a 16,384-entry chunk
+# of the quick-start table, 1,024-entry blocks took 5.2 ms against 8.6 ms
+# for whole-chunk gathers (256: 5.6 ms, 4,096: 6.1 ms): the rows stay in
+# cache between gather and dot, and the sums are the same bits.
+DOT_BLOCK = 1024
 
 
 @dataclass
@@ -166,6 +178,8 @@ def train_glove(table, vocab_size, config, chunk=16384):
     at initialization, then one running mean loss per iteration.  With
     iterations=0 the seeded random initialization is published unchanged.
     """
+    from scipy import sparse  # imported here: the CLI's other commands never load it
+
     config.validate()
     ii, jj, xx = table.to_arrays()
     keep = (ii >= 2) & (jj >= 2) & (ii < vocab_size) & (jj < vocab_size)
@@ -200,28 +214,29 @@ def train_glove(table, vocab_size, config, chunk=16384):
     fx = np.minimum((xx / config.x_max) ** config.alpha, 1.0)
     lr = config.learning_rate
 
+    def row_dots(i, j):
+        """W[i] . Wt[j] entry by entry, gathered DOT_BLOCK entries at a time."""
+        out = np.empty(len(i))
+        for lo in range(0, len(i), DOT_BLOCK):
+            at = slice(lo, lo + DOT_BLOCK)
+            out[at] = np.einsum("nd,nd->n", W[i[at]], Wt[j[at]])
+        return out
+
     def mean_loss():
         total = 0.0
         for lo in range(0, n_entries, chunk):
             at = slice(lo, lo + chunk)
-            diff = np.einsum("nd,nd->n", W[ii[at]], Wt[jj[at]]) - logx[at]
+            diff = row_dots(ii[at], jj[at]) - logx[at]
             total += float(0.5 * (fx[at] * diff) @ diff)
         return total / n_entries
 
-    def adagrad_step(M, G, rows, g):
-        """One chunk's step on the rows of M it touches, and on G.
-
-        Squares g in place: its callers pass chunk-local gradients that
-        nothing reads afterwards."""
-        touched, slot = np.unique(rows, return_inverse=True)
-        keys = np.add.outer(slot * (dims + 2), np.arange(dims + 2)).ravel()
-
-        def row_sums(values):  # every slot occurs, so the length is exact
-            return np.bincount(keys, weights=values.ravel()).reshape(-1, dims + 2)
-
-        M[touched] -= lr * row_sums(g) / np.sqrt(G[touched])
-        np.square(g, out=g)
-        G[touched] += row_sums(g)
+    def adagrad_step(M, G, rows, g, g2):
+        """One chunk's step on `rows` of M and G from the rows' summed
+        gradients g, which it scales in place, and squared gradients g2."""
+        g *= lr
+        g /= np.sqrt(G[rows])
+        M[rows] -= g
+        G[rows] += g2
 
     losses = [mean_loss()]
     for iteration in range(config.iterations):
@@ -230,18 +245,25 @@ def train_glove(table, vocab_size, config, chunk=16384):
         for lo in range(0, n_entries, chunk):
             sel = order[lo : lo + chunk]
             i_s, j_s = ii[sel], jj[sel]
-            wi, wj = W[i_s], Wt[j_s]
-            diff = np.einsum("nd,nd->n", wi, wj) - logx[sel]
+            diff = row_dots(i_s, j_s) - logx[sel]
             fdiff = fx[sel] * diff
             total += float(0.5 * fdiff @ diff)
-            # the gathered rows become the gradients in place
-            gi, gj = wj, wi
-            gi *= fdiff[:, None]
-            gj *= fdiff[:, None]
-            gi[:, dims + 1] = 0.0  # the constant columns
-            gj[:, dims] = 0.0
-            adagrad_step(W, GW, i_s, gi)
-            adagrad_step(Wt, GWt, j_s, gj)
+            rows, r = np.unique(i_s, return_inverse=True)
+            cols, c = np.unique(j_s, return_inverse=True)
+            # chunk-start rows: both sides' sums are taken before either steps
+            wr, wc = W[rows], Wt[cols]
+            # the pairs are distinct, so A holds one entry per touched cell:
+            # row sums of the gradients fdiff * Wt[j] are A @ Wt[cols], and of
+            # their squares (A*A) @ Wt[cols]**2; the transposes give Wt's
+            A = sparse.csr_array((fdiff, (r, c)), shape=(len(rows), len(cols)))
+            A2 = A.power(2)
+            wc[:, dims + 1] = 0.0  # the constant columns get no gradient
+            wr[:, dims] = 0.0
+            gw, gwt = A @ wc, A.T @ wr
+            np.square(wc, out=wc)
+            np.square(wr, out=wr)
+            adagrad_step(W, GW, rows, gw, A2 @ wc)
+            adagrad_step(Wt, GWt, cols, gwt, A2.T @ wr)
         iteration_loss = total / n_entries
         if not iteration_loss <= DIVERGENCE_FACTOR * losses[0]:  # also catches nan
             raise FloatingPointError(

@@ -11,23 +11,26 @@ a fresh, fitted or loaded model: inference, `conv_activations` and
 `gradient_check`.  The forward pass casts looked-up rows only when the
 table's dtype differs from the parameters'.
 
-The forward and backward passes run time-major: the lookup is
-`embedding[ids.T]`, and the conv, pool and LSTM activations are
+The forward and backward passes run time-major: the lookup gathers each
+conv window's rows from the table straight into the (steps * batch,
+kernel * dims) window matrix, and the conv, pool and LSTM activations are
 (steps, batch, width), so every time step is one contiguous block and the
 pool reads whole-step slabs.  The sigmoid gates i, f and o are computed as
 0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight and bias
 columns (exact in binary), so one tanh per step covers all four gates.
 
 `fit` hands every train step one workspace: a dict in which `_buf` keeps
-the large activations and gradients (the looked-up rows, the conv windows,
-the conv, pool, mask, gate and LSTM state arrays, and the gate, pool and
-conv gradients) and returns them to the next step of the same shape and
-dtype, which writes them in place.  A step on a warm workspace allocates
-no multi-MB array, so it does not page-fault in memory that the allocator
-gave back to the kernel after the step before.  An array from a workspace,
-and so a cache that holds one, is valid only until the next call with the
-same workspace.  Inference, `conv_activations` and `gradient_check` pass no
-workspace and allocate each array afresh.
+the large activations and gradients (the conv windows, the conv, pool,
+mask, gate and LSTM state arrays, and the gate gradient) and returns them
+to the next step of the same shape and dtype, which writes them in place.
+The backward pass writes the pool gradient into the pool activations'
+buffer `P` and the conv gradient into the conv activations' buffer `A`,
+since neither activation is read again.  A step on a warm workspace
+allocates no multi-MB array, so it does not page-fault in memory that the
+allocator gave back to the kernel after the step before.  An array from a
+workspace, and so a cache that holds one, is valid only until the next
+call with the same workspace.  Inference, `conv_activations` and
+`gradient_check` pass no workspace and allocate each array afresh.
 
 Architecture at defaults (seq_len 60, kernel 3, stride 1, pool 2), shapes
 per sequence:
@@ -51,10 +54,9 @@ inverted (scaling at train time), so inference needs no rescaling.
 """
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 logger = logging.getLogger(__name__)
 
@@ -144,12 +146,16 @@ class ClassifierModel:
 class Adamax:
     """Adamax state for one set of parameters, in their dtype:
     m = b1 m + (1-b1) g;  u = max(b2 u, |g|);
-    param -= lr * (m / (1 - b1^t)) / (u + eps)."""
+    param -= lr * (m / (1 - b1^t)) / (u + eps).
+
+    A step computes in two scratch arrays per parameter that the optimizer
+    owns, so it allocates no parameter-sized array."""
 
     def __init__(self, config, params):
         self.config = config
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.u = {k: np.zeros_like(v) for k, v in params.items()}
+        self.scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
         self.t = 0
 
     def step(self, params, grads):
@@ -158,12 +164,15 @@ class Adamax:
         self.t += 1
         correction = 1.0 - cfg.beta1 ** self.t
         for name, grad in grads.items():
-            m = self.m[name]
-            u = self.u[name]
+            m, u = self.m[name], self.u[name]
+            a, b = self.scratch[name]
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
-            np.maximum(cfg.beta2 * u, np.abs(grad), out=u)
-            params[name] -= cfg.learning_rate * (m / correction) / (u + cfg.epsilon)
+            m += np.multiply(1.0 - cfg.beta1, grad, out=a)
+            np.maximum(np.multiply(cfg.beta2, u, out=a), np.abs(grad, out=b), out=u)
+            np.divide(m, correction, out=a)
+            a *= cfg.learning_rate  # lr * (m / correction), the same product
+            a /= np.add(u, cfg.epsilon, out=b)
+            params[name] -= a
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -255,14 +264,14 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
 
     dt = p["conv_w"].dtype
-    # (L, B, D), cast to dt on the way in; the ids were checked above, so
-    # mode="clip" clips nothing and spares `take` its buffered copy
-    X = _buf(ws, "X", (cfg.seq_len, B, D), dt)
-    np.take(model.embedding, ids.T, axis=0, out=X, mode="clip")
-    win = sliding_window_view(X, K, axis=0)[::cfg.strides]  # (T, B, D, K)
+    # the conv windows straight from the table: window row (t, b, k) is the
+    # row of ids[b, t * strides + k], cast to dt on the way in; the ids were
+    # checked above, so mode="clip" clips nothing and spares `take` its
+    # buffered copy
+    at = np.arange(T)[:, None] * cfg.strides + np.arange(K)  # (T, K)
     win_flat = _buf(ws, "win_flat", (T * B, K * D), dt)
-    np.copyto(win_flat.reshape(T, B, K, D), win.transpose(0, 1, 3, 2))
-    del X, win
+    np.take(model.embedding, ids.T[at].transpose(0, 2, 1), axis=0,
+            out=win_flat.reshape(T, B, K, D), mode="clip")
     A = np.matmul(win_flat, p["conv_w"].reshape(K * D, F), out=_buf(ws, "A", (T * B, F), dt))
     A += p["conv_b"]
     np.maximum(A, 0.0, out=A)  # ReLU in place
@@ -354,7 +363,8 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
 def _backward(model, cache, onehot, ws=None):
     """Gradients of mean cross-entropy w.r.t. all trainable parameters.
 
-    The large gradients are taken from the workspace `ws` (see `_buf`)."""
+    The gate gradient is taken from the workspace `ws` (see `_buf`); the
+    pool and conv gradients overwrite the cache's `P` and `A`."""
     cfg = model.config
     p = model.params
     dt = p["conv_w"].dtype
@@ -396,16 +406,18 @@ def _backward(model, cache, onehot, ws=None):
     grads["lstm_wx"] = P.reshape(T2 * B, F).T @ dG
     grads["lstm_wh"] = H[:T2].reshape(T2 * B, U).T @ dG
     grads["lstm_b"] = dG.sum(axis=0)
-    dP = _buf(ws, "dP", (T2, B, F), dt)
-    np.matmul(dG, p["lstm_wx"].T, out=dP.reshape(T2 * B, F))
-    del dG
     # ReLU: the position a window picked holds A == P, so A > 0 there
     # exactly when P > 0
     relu = _buf(ws, "relu", (T2, B, F), bool)
     np.greater(P, 0.0, out=relu)
+    # nothing reads P or A again: the pool gradient dP overwrites P, and
+    # the conv gradient dZ overwrites A
+    dP = P
+    np.matmul(dG, p["lstm_wx"].T, out=dP.reshape(T2 * B, F))
+    del dG
     dP *= relu
 
-    dZ = _buf(ws, "dZ", (T, B, F), dt)
+    dZ = cache["A"]
     for k in range(PS):
         np.multiply(dP, cache["pool_mask"][k], out=dZ[k : T2 * PS : PS])
     dZ[T2 * PS :] = 0.0
@@ -612,6 +624,33 @@ def save_model(path, model, vocab, categories, extra_meta=None):
     checkpoint.save_checkpoint(path, meta, arrays)
 
 
+def _config_from_header(path, header):
+    """The ClassifierConfig a checkpoint header's `config` object names;
+    path names the file in errors."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: bad classifier config: expected an object, got {header!r}")
+    values = dict(header)
+    # older headers name the optimizer, which is always Adamax
+    if values.pop("optimizer", "adamax") != "adamax":
+        raise ValueError(f"{path}: unsupported optimizer {header['optimizer']!r}")
+    try:
+        config = ClassifierConfig(**values)
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad classifier config: {exc}") from None
+    for field in fields(ClassifierConfig):
+        value = getattr(config, field.name)
+        kinds = (int, float) if field.type is float else field.type
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(
+                f"{path}: bad classifier config: {field.name} must be "
+                f"{field.type.__name__}, got {value!r}"
+            )
+    try:
+        return config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad classifier config: {exc}") from None
+
+
 def from_checkpoint(meta, arrays, path):
     """(model, vocab, categories) from a loaded nn checkpoint; path names
     the file in errors.  Takes ownership of arrays."""
@@ -621,14 +660,7 @@ def from_checkpoint(meta, arrays, path):
     if meta.get("kind") != "nn":
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'nn'")
     checkpoint.require_meta(path, meta, ("config", "vocab_tokens", "categories"))
-    config = dict(meta["config"])
-    # older headers name the optimizer, which is always Adamax
-    if config.pop("optimizer", "adamax") != "adamax":
-        raise ValueError(f"{path}: unsupported optimizer {meta['config']['optimizer']!r}")
-    try:
-        config = ClassifierConfig(**config)
-    except TypeError as exc:
-        raise ValueError(f"{path}: bad classifier config: {exc}") from None
+    config = _config_from_header(path, meta["config"])
     vocab = Vocabulary(meta["vocab_tokens"])
     if vocab.sha256() != meta.get("vocab_sha256"):
         raise ValueError(f"{path}: vocabulary hash mismatch; checkpoint corrupt")

@@ -5,6 +5,15 @@ import pytest
 
 from repocat import baseline as B
 from repocat import checkpoint
+from repocat.model import cross_entropy, softmax
+
+
+def _counts(X):
+    """BowCounts holding the dense count matrix X."""
+    X = np.asarray(X, dtype=np.float64)
+    rows, cols = np.nonzero(X)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(X)))])
+    return B.BowCounts(X[rows, cols], cols, indptr, X.shape[1])
 
 
 class TestBowVocabulary:
@@ -50,7 +59,15 @@ class TestBowFeatures:
 
     def test_matrix_densification(self):
         X = B.features_matrix([["alpha", "alpha"], ["beta", "junk"], []], self.vocab)
-        np.testing.assert_array_equal(X, [[2, 0], [0, 1], [0, 0]])
+        np.testing.assert_array_equal(X.dense(), [[2, 0], [0, 1], [0, 0]])
+
+    def test_rows_are_csr_with_ascending_indices(self):
+        vocab = B.BowVocabulary(["a", "b", "c", "d"])
+        X = B.features_matrix([["d", "b", "d"], [], ["c", "a", "junk", "a"]], vocab)
+        assert X.shape == (3, 4)
+        np.testing.assert_array_equal(X.indptr, [0, 2, 2, 4])
+        np.testing.assert_array_equal(X.indices, [1, 3, 0, 2])
+        np.testing.assert_array_equal(X.data, [1.0, 2.0, 2.0, 1.0])
 
     def test_every_bow_column_occurs_in_training(self):
         # train lr sizes its matrix by len(vocab): no column is left empty
@@ -60,7 +77,7 @@ class TestBowFeatures:
             vocab = B.BowVocabulary.build(streams, size=size)
             X = B.features_matrix(streams, vocab)
             assert X.shape == (20, min(size, 12))
-            assert (X.sum(axis=0) > 0).all()
+            assert (X.dense().sum(axis=0) > 0).all()
 
 
 def _separable(n_per_class=40, n_features=6, seed=0):
@@ -82,14 +99,14 @@ def _separable(n_per_class=40, n_features=6, seed=0):
 class TestTrainLogreg:
     def test_learns_separable_data(self):
         X, y = _separable()
-        model = B.train_logreg(X, y, num_categories=2, epochs=50, seed=1)
+        model = B.train_logreg(_counts(X), y, num_categories=2, epochs=50, seed=1)
         preds = np.argmax(X @ model.weights + model.bias, axis=1)
         assert np.mean(preds == y) > 0.95
 
     def test_full_batch_loss_non_increasing(self):
         X, y = _separable(seed=3)
         model = B.train_logreg(
-            X, y, num_categories=2, lr=0.05, epochs=30, batch_size=len(y), seed=3
+            _counts(X), y, num_categories=2, lr=0.05, epochs=30, batch_size=len(y), seed=3
         )
         losses = np.array(model.epoch_losses)
         assert len(losses) == 30
@@ -97,24 +114,24 @@ class TestTrainLogreg:
 
     def test_deterministic(self):
         X, y = _separable(seed=5)
-        m1 = B.train_logreg(X, y, 2, seed=7)
-        m2 = B.train_logreg(X, y, 2, seed=7)
+        m1 = B.train_logreg(_counts(X), y, 2, seed=7)
+        m2 = B.train_logreg(_counts(X), y, 2, seed=7)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
 
     def test_l2_shrinks_weights(self):
         X, y = _separable(seed=2)
-        loose = B.train_logreg(X, y, 2, l2_lambda=0.0, epochs=40, seed=2)
-        tight = B.train_logreg(X, y, 2, l2_lambda=1.0, epochs=40, seed=2)
+        loose = B.train_logreg(_counts(X), y, 2, l2_lambda=0.0, epochs=40, seed=2)
+        tight = B.train_logreg(_counts(X), y, 2, l2_lambda=1.0, epochs=40, seed=2)
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
 
     def test_single_category_rejected(self):
         with pytest.raises(ValueError, match="single category"):
-            B.train_logreg(np.ones((4, 2)), [1, 1, 1, 1], 2)
+            B.train_logreg(_counts(np.ones((4, 2))), [1, 1, 1, 1], 2)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
-            B.train_logreg(np.ones((2, 2)), [0, 5], num_categories=2)
+            B.train_logreg(_counts(np.ones((2, 2))), [0, 5], num_categories=2)
 
     def test_defaults_match_contract(self):
         import inspect
@@ -123,6 +140,56 @@ class TestTrainLogreg:
         assert sig.parameters["l2_lambda"].default == 1e-4
         assert sig.parameters["lr"].default == 0.1
         assert sig.parameters["epochs"].default == 50
+
+
+def dense_reference_logreg(X, labels, num_categories, l2_lambda=1e-4, lr=0.1,
+                           epochs=50, batch_size=128, seed=0):
+    """train_logreg's descent on a dense (N, F) matrix: (weights, bias,
+    epoch_losses).  The same draws and steps, with no input checks."""
+    def objective(W, b):
+        loss = cross_entropy(softmax(X @ W + b), onehot)
+        return float(loss + 0.5 * l2_lambda * np.sum(W * W))
+
+    n, n_features = X.shape
+    onehot = np.zeros((n, num_categories))
+    onehot[np.arange(n), labels] = 1.0
+    W = np.zeros((n_features, num_categories))
+    b = np.zeros(num_categories)
+    rng = np.random.default_rng(seed)
+    epoch_losses = []
+    for _ in range(epochs):
+        epoch_losses.append(objective(W, b))
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            sel = order[lo : lo + batch_size]
+            Xb, Yb = X[sel], onehot[sel]
+            probs = softmax(Xb @ W + b)
+            dlogits = (probs - Yb) / len(sel)
+            W -= lr * (Xb.T @ dlogits + l2_lambda * W)
+            b -= lr * dlogits.sum(axis=0)
+    return W, b, epoch_losses
+
+
+@pytest.mark.parametrize("batch_size", [64, 1000])
+def test_sparse_training_matches_the_dense_reference(batch_size):
+    # random token streams over 60 tokens, 4 categories whose streams lean
+    # to their own quarter of the tokens; 300 rows leave a short last batch
+    rng = np.random.default_rng(21)
+    labels = rng.integers(0, 4, size=300)
+    streams = [
+        [f"t{int(t)}" for t in np.concatenate([rng.integers(0, 60, 20),
+                                               rng.integers(15 * c, 15 * c + 15, 10)])]
+        for c in labels
+    ]
+    vocab = B.BowVocabulary.build(streams, size=50)
+    X = B.features_matrix(streams, vocab)
+    got = B.train_logreg(X, labels, 4, epochs=12, batch_size=batch_size, seed=3)
+    W, b, losses = dense_reference_logreg(X.dense(), labels, 4, epochs=12,
+                                          batch_size=batch_size, seed=3)
+    np.testing.assert_allclose(got.weights, W, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.bias, b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.epoch_losses, losses, rtol=0, atol=1e-12)
+    assert losses[-1] < losses[0] / 2
 
 
 class TestPredict:
@@ -136,23 +203,22 @@ class TestPredict:
     def test_dimension_mismatch_rejected(self):
         model = B.LinearModel(np.zeros((3, 2)), np.zeros(2), [])
         with pytest.raises(ValueError):
-            B.predict_logreg(model, np.zeros((1, 5)))
-        with pytest.raises(ValueError):
-            B.predict_logreg(model, np.zeros(3))
+            B.predict_logreg(model, _counts(np.zeros((1, 5))))
 
     def test_batch_matches_row_at_a_time(self):
         X, y = _separable(seed=4)
-        model = B.train_logreg(X, y, 2, seed=4)
-        whole = B.predict_logreg(model, X)
+        model = B.train_logreg(_counts(X), y, 2, seed=4)
+        whole = B.predict_logreg(model, _counts(X))
         for i in range(len(X)):
             np.testing.assert_allclose(
-                B.predict_logreg(model, X[i : i + 1])[0], whole[i], rtol=0, atol=1e-12
+                B.predict_logreg(model, _counts(X[i : i + 1]))[0], whole[i],
+                rtol=0, atol=1e-12,
             )
 
 
 def test_save_load_round_trip(tmp_path):
     X, y = _separable(seed=9)
-    model = B.train_logreg(X, y, 2, seed=9)
+    model = B.train_logreg(_counts(X), y, 2, seed=9)
     vocab = B.BowVocabulary([f"tok{i}" for i in range(X.shape[1])])
     path = tmp_path / "baseline.ckpt"
     B.save_baseline(path, model, vocab, ["games", "sound"], {"seed": 9})
@@ -165,6 +231,7 @@ def test_save_load_round_trip(tmp_path):
     assert meta["seed"] == 9
     x = np.zeros((1, X.shape[1]))
     x[0, 0] = 2
+    x = _counts(x)
     np.testing.assert_array_equal(
         B.predict_logreg(loaded, x), B.predict_logreg(model, x)
     )
@@ -176,7 +243,7 @@ def test_save_load_round_trip(tmp_path):
 ], ids=["missing", "wrong-shape"])
 def test_load_checks_array_names_and_shapes(tmp_path, edit, message):
     X, y = _separable(seed=9)
-    model = B.train_logreg(X, y, 2, seed=9)
+    model = B.train_logreg(_counts(X), y, 2, seed=9)
     vocab = B.BowVocabulary([f"tok{i}" for i in range(X.shape[1])])
     path = tmp_path / "baseline.ckpt"
     B.save_baseline(path, model, vocab, ["games", "sound"])

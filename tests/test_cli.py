@@ -108,7 +108,17 @@ def test_eval_lr_runs(pipeline, capsys):
     ("nn", lambda meta: meta.pop("config"), r"checkpoint header lacks \['config'\]"),
     ("nn", lambda meta: meta["config"].update(bogus=1),
      "bad classifier config: .*unexpected keyword argument 'bogus'"),
-], ids=["lr-no-bow_tokens", "nn-no-config", "nn-unknown-config-field"])
+    ("nn", lambda meta: meta.update(config=5),
+     "bad classifier config: expected an object, got 5"),
+    ("nn", lambda meta: meta["config"].update(filters="250"),
+     "bad classifier config: filters must be int, got '250'"),
+    ("nn", lambda meta: meta["config"].update(dropout_level=True),
+     "bad classifier config: dropout_level must be float, got True"),
+    ("nn", lambda meta: meta["config"].update(pool_size=0),
+     "bad classifier config: pool_size must be >= 1, got 0"),
+], ids=["lr-no-bow_tokens", "nn-no-config", "nn-unknown-config-field",
+        "nn-config-not-object", "nn-config-field-str", "nn-config-field-bool",
+        "nn-config-invalid"])
 def test_eval_malformed_header_names_the_file(pipeline, capsys, kind, edit, message):
     meta, arrays = checkpoint.load_checkpoint(pipeline[kind])
     edit(meta)
@@ -117,6 +127,28 @@ def test_eval_malformed_header_names_the_file(pipeline, capsys, kind, edit, mess
     assert run("eval", bad, pipeline["holdout"], "--variant", "co") == 1
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: {re.escape(str(bad))}: {message}\n", err), err
+
+
+def test_scipy_is_loaded_only_where_training_runs(pipeline):
+    # importing scipy.sparse costs about 0.26 s and 22 MB of RSS: the CLI module,
+    # and eval of either checkpoint kind, never load it
+    script = (
+        "import sys\n"
+        "import repocat.cli\n"
+        "loaded = ['import'] if 'scipy' in sys.modules else []\n"
+        "holdout = sys.argv[1]\n"
+        "for ckpt in sys.argv[2:]:\n"
+        "    assert repocat.cli.main(['eval', ckpt, holdout, '--variant', 'co']) == 0\n"
+        "    if 'scipy' in sys.modules:\n"
+        "        loaded.append(ckpt)\n"
+        "print('scipy loaded by', loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repocat.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *(str(pipeline[k]) for k in ("holdout", "lr", "nn"))],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "scipy loaded by []", done.stdout
 
 
 def test_eval_json_output(pipeline, capsys):

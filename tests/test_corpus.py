@@ -322,6 +322,17 @@ def test_token_dataset_rejects_non_list_token_fields(tmp_path, field, value):
     assert records[0].tokens == ["p", "f", "x"] and records[0].descr_tokens == ["mixer"]
 
 
+@pytest.mark.parametrize("field,value", [
+    ("project", ["p"]), ("function", 7), ("category", None),
+], ids=["project-list", "function-int", "category-null"])
+def test_token_dataset_rejects_non_string_name_fields(tmp_path, field, value):
+    good = {"project": "p", "function": "f", "category": "c", "tokens": ["p", "f"]}
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(ValueError, match=rf"data\.jsonl: .*'{field}' must be a string"):
+        corpus.read_token_dataset(path)
+
+
 def _names(source):
     return [f.function_name for f in corpus.extract_functions(source).functions]
 

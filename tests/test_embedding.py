@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse  # noqa: F401  train_glove imports it on first use: the traced
+                     # calls below measure training, not that one-time import
 
 from repocat import embedding, tokens
 from repocat.corpus import FunctionTokens

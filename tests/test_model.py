@@ -317,6 +317,46 @@ class TestAdamax:
         opt.step(m.params, zero)
         assert opt.t == 2
 
+    def test_warm_step_allocates_no_parameter_sized_array(self):
+        # default shapes in float32: lstm_wx is 400 kB; a step that built
+        # its update in temporaries peaked at several times that
+        cfg = ClassifierConfig(num_categories=6)
+        emb = np.zeros((10, cfg.embed_dims))
+        params = M.init_model(cfg, emb, seed=16).astype(M.TRAIN_DTYPE).params
+        rng = np.random.default_rng(16)
+        grads = {n: rng.normal(size=v.shape).astype(v.dtype) for n, v in params.items()}
+        opt = M.Adamax(cfg, params)
+        opt.step(params, grads)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt.step(params, grads)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < params["lstm_wx"].nbytes / 8, peak
+
+    def test_float32_step_is_the_formula_bit_for_bit(self):
+        # the in-place step keeps the formula's operations and their order
+        cfg = tiny_config()
+        params = {n: v.astype(np.float32) for n, v in make_model(cfg, seed=17).params.items()}
+        want = {n: v.copy() for n, v in params.items()}
+        m = {n: np.zeros_like(v) for n, v in params.items()}
+        u = {n: np.zeros_like(v) for n, v in params.items()}
+        opt = M.Adamax(cfg, params)
+        rng = np.random.default_rng(17)
+        for t in range(1, 4):
+            grads = {n: rng.normal(size=v.shape).astype(np.float32) for n, v in params.items()}
+            opt.step(params, grads)
+            correction = 1.0 - cfg.beta1 ** t
+            for n, g in grads.items():
+                m[n] *= cfg.beta1
+                m[n] += (1.0 - cfg.beta1) * g
+                np.maximum(cfg.beta2 * u[n], np.abs(g), out=u[n])
+                want[n] -= cfg.learning_rate * (m[n] / correction) / (u[n] + cfg.epsilon)
+        for n in params:
+            np.testing.assert_array_equal(params[n], want[n], err_msg=n)
+
 
 def synthetic_examples(cfg, vocab_size=12, projects_per_cat=6, funcs=6, seed=0):
     """Separable toy task: category c draws ids from its own id band."""
@@ -384,7 +424,7 @@ class TestWorkspace:
         monkeypatch.setattr(M, "_buf", junk_buf)
         ws = {}
         got_losses, got = self._three_steps(ws=ws)
-        assert {"H", "C", "dZ", "taken"} <= set(ws)
+        assert {"H", "C", "dG", "taken"} <= set(ws)
         assert got_losses == want_losses
         for name in M.PARAM_NAMES:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -411,6 +451,21 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peaks["warm"] <= peaks["fresh"] / 10, peaks
+
+    def test_workspace_size_at_the_default_config(self):
+        # batch 128 in float32: 40.2 MB, since the pool and conv gradients
+        # reuse the pool and conv activations' buffers and the lookup writes
+        # the conv windows directly (54.4 MB with separate buffers)
+        cfg = ClassifierConfig(num_categories=6)
+        emb = np.random.default_rng(18).normal(size=(50, cfg.embed_dims))
+        m = M.init_model(cfg, emb, seed=18).astype(M.TRAIN_DTYPE)
+        rng = np.random.default_rng(18)
+        ids = rng.integers(0, 50, size=(cfg.batch_size, cfg.seq_len))
+        onehot = np.zeros((cfg.batch_size, 6))
+        onehot[np.arange(cfg.batch_size), rng.integers(0, 6, cfg.batch_size)] = 1.0
+        ws = {}
+        M.train_step(m, M.Adamax(cfg, m.params), ids, onehot, rng, ws=ws)
+        assert sum(arr.nbytes for arr in ws.values()) < 41e6
 
 
 class TestFit:
