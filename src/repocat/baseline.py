@@ -9,6 +9,7 @@ classifier is a hand-rolled softmax regression trained with deterministic
 mini-batch gradient descent (cross-entropy + L2 on weights, biases
 unpenalized).  Training multiplies the counts as a SciPy CSR matrix,
 imported only there; prediction scatters them into a dense matrix.
+`LogregConfig` holds the settings, the run configuration's ``lr.*`` keys.
 """
 
 import logging
@@ -17,11 +18,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checkpoint
 from .model import cross_entropy, softmax
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_VOCAB_SIZE = 1800
+
+@dataclass
+class LogregConfig:
+    vocab_size: int = 1800
+    l2: float = 1e-4
+    learning_rate: float = 0.1
+    epochs: int = 50
+    batch_size: int = 128
+    seed: int = 0
+
+    def validate(self):
+        for name in ("vocab_size", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.l2 < 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        return self
 
 
 class BowVocabulary:
@@ -45,7 +65,7 @@ class BowVocabulary:
         return list(self._tokens)
 
     @classmethod
-    def build(cls, token_streams, size=DEFAULT_VOCAB_SIZE):
+    def build(cls, token_streams, size):
         """Top `size` tokens by count; ties broken by first-seen order."""
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
@@ -113,14 +133,14 @@ class LinearModel:
     epoch_losses: list  # objective recorded at the start of each epoch
 
 
-def _objective(X, onehot, W, b, l2_lambda):
+def _objective(X, onehot, W, b, l2):
     loss = cross_entropy(softmax(X @ W + b), onehot)
-    return float(loss + 0.5 * l2_lambda * np.sum(W * W))
+    return float(loss + 0.5 * l2 * np.sum(W * W))
 
 
-def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
-                 epochs=50, batch_size=128, seed=0):
-    """Softmax regression via deterministic mini-batch gradient descent.
+def train_logreg(features, labels, num_categories, config):
+    """Softmax regression via deterministic mini-batch gradient descent,
+    with the settings of the LogregConfig `config`.
 
     features: (N, F) BowCounts (see features_matrix), multiplied as a
     SciPy CSR matrix, so no batch copies a dense row.
@@ -130,6 +150,7 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
     """
     from scipy import sparse  # imported here: eval and the nn commands never load it
 
+    config.validate()
     if num_categories < 2:
         raise ValueError(f"need >= 2 categories, got {num_categories}")
     labels = np.asarray(labels, dtype=np.int64)
@@ -149,26 +170,26 @@ def train_logreg(features, labels, num_categories, l2_lambda=1e-4, lr=0.1,
     onehot[np.arange(n), labels] = 1.0
     W = np.zeros((n_features, num_categories))
     b = np.zeros(num_categories)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     epoch_losses = []
-    for epoch in range(epochs):
-        epoch_losses.append(_objective(X, onehot, W, b, l2_lambda))
+    for epoch in range(config.epochs):
+        epoch_losses.append(_objective(X, onehot, W, b, config.l2))
         order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            sel = order[lo : lo + batch_size]
+        for lo in range(0, n, config.batch_size):
+            sel = order[lo : lo + config.batch_size]
             Xb, Yb = X[sel], onehot[sel]
             probs = softmax(Xb @ W + b)
             dlogits = (probs - Yb) / len(sel)
-            gW = Xb.T @ dlogits + l2_lambda * W
+            gW = Xb.T @ dlogits + config.l2 * W
             gb = dlogits.sum(axis=0)
-            W -= lr * gW
-            b -= lr * gb
+            W -= config.learning_rate * gW
+            b -= config.learning_rate * gb
         if not np.isfinite(W).all() or not np.isfinite(b).all():
             raise FloatingPointError(
                 f"logistic regression diverged at epoch {epoch + 1}"
             )
     logger.info("logreg: %d examples, %d features, final objective %.6f",
-                n, n_features, _objective(X, onehot, W, b, l2_lambda))
+                n, n_features, _objective(X, onehot, W, b, config.l2))
     return LinearModel(weights=W, bias=b, epoch_losses=epoch_losses)
 
 
@@ -183,8 +204,6 @@ def predict_logreg(model, features):
 
 
 def save_baseline(path, model, bow_vocab, categories, extra_meta=None):
-    from . import checkpoint
-
     meta = {
         "kind": "lr",
         "categories": list(categories),
@@ -198,8 +217,6 @@ def save_baseline(path, model, bow_vocab, categories, extra_meta=None):
 def from_checkpoint(meta, arrays, path):
     """(model, bow_vocab, categories) from a loaded lr checkpoint; path
     names the file in errors."""
-    from . import checkpoint
-
     if meta.get("kind") != "lr":
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'lr'")
     checkpoint.require_meta(path, meta, ("bow_tokens", "categories"))

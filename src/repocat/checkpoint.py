@@ -45,7 +45,7 @@ def save_checkpoint(path, meta, arrays):
     header = dict(meta)
     header["format"] = 1
     header["arrays"] = directory
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = fileio.dumps(header).encode("utf-8")
     payload = MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(blobs)
     fileio.atomic_write_bytes(path, payload)
 

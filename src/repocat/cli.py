@@ -410,16 +410,14 @@ def cmd_train_nn(args, cfg):
 
 
 def cmd_train_lr(args, cfg):
+    lcfg = cfg.logreg_config().validate()
     records, _ = corpus.read_token_dataset(args.train)
     labeled, categories = _train_examples(records)
     streams = [toks for _, toks, _ in labeled]
-    bow = baseline.BowVocabulary.build(streams, size=cfg["lr.vocab_size"])
+    bow = baseline.BowVocabulary.build(streams, lcfg.vocab_size)
     features = baseline.features_matrix(streams, bow)
     lin = baseline.train_logreg(
-        features, [label for _, _, label in labeled], len(categories),
-        l2_lambda=cfg["lr.l2"], lr=cfg["lr.learning_rate"],
-        epochs=cfg["lr.epochs"], batch_size=cfg["lr.batch_size"],
-        seed=cfg["lr.seed"],
+        features, [label for _, _, label in labeled], len(categories), lcfg
     )
     meta = _artifact_meta(cfg, "train lr", train=args.train)
     baseline.save_baseline(args.output, lin, bow, categories, extra_meta=meta)
@@ -472,12 +470,12 @@ def cmd_eval(args, cfg):
         model=args.model, holdout=args.holdout, variant=args.variant, model_kind=kind,
     )
     if args.report:
-        payload = dict(report.to_dict())
+        payload = report.to_dict()
         payload["_meta"] = meta
         fileio.atomic_write_text(args.report, fileio.dumps(payload) + "\n")
     if args.verdicts:
         evaluation.write_verdicts(args.verdicts, verdicts, categories, meta=meta)
-    result = dict(report.to_dict())
+    result = report.to_dict()
     result["model"] = args.model
     result["variant"] = args.variant
     lines = report.format_text().splitlines()
@@ -507,9 +505,9 @@ def cmd_explain(args, cfg):
     heat = activations.mean(axis=1)  # one value per window: the heatmap
     t_star = int(np.argmax(heat))
     K = net.config.kernel_size
-    window = [
-        toks[i] if i < len(toks) else "<pad>" for i in range(t_star, t_star + K)
-    ]
+    # window t covers tokens t .. t+K-1; past the function's end they are padding
+    padded = toks + ["<pad>"] * net.config.seq_len
+    window = padded[t_star : t_star + K]
 
     meta = _artifact_meta(
         cfg, "explain",
@@ -523,11 +521,8 @@ def cmd_explain(args, cfg):
         + ",".join(f"f{j:03d}" for j in range(n_filters))
     )
     for pos in range(activations.shape[0]):
-        win = " ".join(
-            toks[i] if i < len(toks) else "<pad>" for i in range(pos, pos + K)
-        )
         row = ",".join(repr(float(v)) for v in activations[pos])
-        lines.append(f"{pos},{win},{repr(float(heat[pos]))},{row}")
+        lines.append(f"{pos},{' '.join(padded[pos : pos + K])},{repr(float(heat[pos]))},{row}")
     fileio.atomic_write_text(args.output, "\n".join(lines) + "\n")
 
     result = {

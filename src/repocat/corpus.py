@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio
+from . import tokens as T
 
 logger = logging.getLogger(__name__)
 
@@ -422,8 +423,6 @@ def make_splits(projects, holdout_per_category, per_category_count, seed):
 
 def project_token_records(project):
     """Tokenize one loaded Project into FunctionTokens records."""
-    from . import tokens as T
-
     descr_tokens = T.tokenize(project.description) if project.description else []
     return [
         FunctionTokens(

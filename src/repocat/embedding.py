@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .tokens import PAD_ID, UNK_ID
+from .tokens import PAD_ID, UNK_ID, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -364,8 +364,6 @@ def load_embedding_text(path, vocab):
 
 def vocab_from_embedding_text(path):
     """Recover the id-ordered token list from an embedding artifact."""
-    from .tokens import Vocabulary
-
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -378,9 +376,9 @@ def vocab_from_embedding_text(path):
     return Vocabulary(tokens)
 
 
-def random_embedding(vocab_size, dims=100, seed=0, scale=0.5):
-    """Seeded uniform(-scale, scale) matrix with zero pad/unknown rows."""
+def random_embedding(vocab_size, dims=100, seed=0):
+    """Seeded uniform(-0.5, 0.5) matrix with zero pad/unknown rows."""
     rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-scale, scale, size=(vocab_size, dims))
+    matrix = rng.uniform(-0.5, 0.5, size=(vocab_size, dims))
     matrix[:2] = 0.0
     return matrix

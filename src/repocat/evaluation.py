@@ -8,7 +8,7 @@ per project, with per-category precision/recall/F1 and support-weighted
 averages.  Weighted recall equals accuracy by construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,41 +80,19 @@ class MetricsReport:
     accuracy: float
 
     def to_dict(self):
-        return {
-            "per_category": {
-                name: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for name, m in self.per_category.items()
-            },
-            "weighted": {
-                "precision": self.weighted.precision,
-                "recall": self.weighted.recall,
-                "f1": self.weighted.f1,
-                "support": self.weighted.support,
-            },
-            "accuracy": self.accuracy,
-        }
+        return asdict(self)
 
     def format_text(self):
         """Aligned text table: one row per category plus the weighted row."""
-        names = list(self.per_category) + ["weighted"]
-        width = max(len(n) for n in names)
+        rows = [*self.per_category.items(), ("weighted", self.weighted)]
+        width = max(len(name) for name, _ in rows)
         lines = [
             f"{'category':<{width}}  {'precision':>9}  {'recall':>9}  {'f1':>9}  {'support':>7}"
         ]
-        for name, m in self.per_category.items():
-            lines.append(
-                f"{name:<{width}}  {m.precision:>9.3f}  {m.recall:>9.3f}  "
-                f"{m.f1:>9.3f}  {m.support:>7d}"
-            )
-        m = self.weighted
-        lines.append(
-            f"{'weighted':<{width}}  {m.precision:>9.3f}  {m.recall:>9.3f}  "
+        lines.extend(
+            f"{name:<{width}}  {m.precision:>9.3f}  {m.recall:>9.3f}  "
             f"{m.f1:>9.3f}  {m.support:>7d}"
+            for name, m in rows
         )
         return "\n".join(lines)
 

@@ -1,5 +1,5 @@
-"""Function-level classifier: frozen embedding -> conv -> maxpool -> LSTM
--> dense -> softmax, trained with Adamax, in numpy.
+"""Function-level classifier: frozen embedding -> conv (stride 1) -> maxpool
+-> LSTM -> dense -> softmax, trained with Adamax at constant BETA1/BETA2/EPSILON.
 
 `fit` trains a TRAIN_DTYPE (float32) working copy of the parameters and
 the embedding table (cast once per `fit`), and returns float64 parameters
@@ -32,7 +32,7 @@ workspace, and so a cache that holds one, is valid only until the next
 call with the same workspace.  Inference, `conv_activations` and
 `gradient_check` pass no workspace and allocate each array afresh.
 
-Architecture at defaults (seq_len 60, kernel 3, stride 1, pool 2), shapes
+Architecture at defaults (seq_len 60, kernel 3, pool 2), shapes
 per sequence:
 
     ids (60,) -> embed lookup (60, 100)          [frozen, never trained]
@@ -54,9 +54,12 @@ inverted (scaling at train time), so inference needs no rescaling.
 """
 
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 
 import numpy as np
+
+from . import checkpoint
+from .tokens import Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +73,15 @@ PREDICT_ROWS = 16
 # (best of 9, two processes; 2-CPU Xeon, NumPy 2.4.6, OpenBLAS): the GEMMs
 # run at twice the rate and the elementwise LSTM work moves half the bytes.
 TRAIN_DTYPE = np.float32
+
+# Adamax's decay rates and denominator floor: the Keras defaults.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+# Constants that older checkpoint headers name as settings, with their values.
+_HEADER_CONSTANTS = {"optimizer": "adamax", "strides": 1,
+                     "beta1": BETA1, "beta2": BETA2, "epsilon": EPSILON}
 
 PARAM_NAMES = (
     "conv_w", "conv_b",
@@ -86,7 +98,6 @@ class ClassifierConfig:
     embed_dims: int = 100
     filters: int = 250
     kernel_size: int = 3
-    strides: int = 1
     pool_size: int = 2
     lstm_units: int = 100
     hide_u: int = 512
@@ -94,15 +105,18 @@ class ClassifierConfig:
     epochs: int = 3
     batch_size: int = 128
     learning_rate: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     validation_fraction: float = 0.05
     seed: int = 0
+    # not a field: the stride is 1, and older callers that spell it out pass 1
+    strides: InitVar[int] = 1
+
+    def __post_init__(self, strides):
+        if strides != 1:
+            raise ValueError(f"unsupported strides {strides!r}")
 
     @property
     def conv_len(self):
-        return (self.seq_len - self.kernel_size) // self.strides + 1
+        return self.seq_len - self.kernel_size + 1
 
     @property
     def pooled_len(self):
@@ -111,7 +125,7 @@ class ClassifierConfig:
     def validate(self):
         if self.num_categories < 2:
             raise ValueError(f"need >= 2 categories, got {self.num_categories}")
-        for name in ("seq_len", "embed_dims", "filters", "kernel_size", "strides",
+        for name in ("seq_len", "embed_dims", "filters", "kernel_size",
                      "pool_size", "lstm_units", "hide_u", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -119,6 +133,8 @@ class ClassifierConfig:
             raise ValueError("kernel_size cannot exceed seq_len")
         if self.pooled_len < 1:
             raise ValueError("pool_size too large: pooled sequence would be empty")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.dropout_level < 1.0:
             raise ValueError(f"dropout_level must be in [0, 1), got {self.dropout_level}")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -146,7 +162,7 @@ class ClassifierModel:
 class Adamax:
     """Adamax state for one set of parameters, in their dtype:
     m = b1 m + (1-b1) g;  u = max(b2 u, |g|);
-    param -= lr * (m / (1 - b1^t)) / (u + eps).
+    param -= lr * (m / (1 - b1^t)) / (u + eps), with BETA1, BETA2, EPSILON.
 
     A step computes in two scratch arrays per parameter that the optimizer
     owns, so it allocates no parameter-sized array."""
@@ -160,18 +176,17 @@ class Adamax:
 
     def step(self, params, grads):
         """Update `params` in place from `grads`, one step."""
-        cfg = self.config
         self.t += 1
-        correction = 1.0 - cfg.beta1 ** self.t
+        correction = 1.0 - BETA1 ** self.t
         for name, grad in grads.items():
             m, u = self.m[name], self.u[name]
             a, b = self.scratch[name]
-            m *= cfg.beta1
-            m += np.multiply(1.0 - cfg.beta1, grad, out=a)
-            np.maximum(np.multiply(cfg.beta2, u, out=a), np.abs(grad, out=b), out=u)
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, grad, out=a)
+            np.maximum(np.multiply(BETA2, u, out=a), np.abs(grad, out=b), out=u)
             np.divide(m, correction, out=a)
-            a *= cfg.learning_rate  # lr * (m / correction), the same product
-            a /= np.add(u, cfg.epsilon, out=b)
+            a *= self.config.learning_rate  # lr * (m / correction), the same product
+            a /= np.add(u, EPSILON, out=b)
             params[name] -= a
 
 
@@ -265,10 +280,9 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
 
     dt = p["conv_w"].dtype
     # the conv windows straight from the table: window row (t, b, k) is the
-    # row of ids[b, t * strides + k], cast to dt on the way in; the ids were
-    # checked above, so mode="clip" clips nothing and spares `take` its
-    # buffered copy
-    at = np.arange(T)[:, None] * cfg.strides + np.arange(K)  # (T, K)
+    # row of ids[b, t + k], cast to dt on the way in; the ids were checked
+    # above, so mode="clip" clips nothing and spares `take` its buffered copy
+    at = np.arange(T)[:, None] + np.arange(K)  # (T, K)
     win_flat = _buf(ws, "win_flat", (T * B, K * D), dt)
     np.take(model.embedding, ids.T[at].transpose(0, 2, 1), axis=0,
             out=win_flat.reshape(T, B, K, D), mode="clip")
@@ -427,9 +441,9 @@ def _backward(model, cache, onehot, ws=None):
     return grads
 
 
-def cross_entropy(probs, onehot, floor=1e-300):
-    """Mean negative log-likelihood of the gold categories."""
-    picked = np.clip((probs * onehot).sum(axis=1), floor, None)
+def cross_entropy(probs, onehot):
+    """Mean negative log-likelihood of the gold categories (each floored at 1e-300)."""
+    picked = np.clip((probs * onehot).sum(axis=1), 1e-300, None)
     return float(-np.mean(np.log(picked)))
 
 
@@ -451,13 +465,13 @@ def train_step(model, opt, ids, onehot, rng, ws=None):
     return loss
 
 
-def predict_proba(model, ids, batch_size=PREDICT_ROWS):
-    """Probabilities for (N, seq_len) ids, batch_size rows per forward
+def predict_proba(model, ids):
+    """Probabilities for (N, seq_len) ids, PREDICT_ROWS rows per forward
     pass; returns (N, C)."""
     ids = np.asarray(ids)
     out = np.empty((ids.shape[0], model.config.num_categories))
-    for lo in range(0, ids.shape[0], batch_size):
-        probs, _ = _forward(model, ids[lo : lo + batch_size])
+    for lo in range(0, ids.shape[0], PREDICT_ROWS):
+        probs, _ = _forward(model, ids[lo : lo + PREDICT_ROWS])
         out[lo : lo + probs.shape[0]] = probs
     return out
 
@@ -496,7 +510,8 @@ def fit(model, examples):
 
     Training runs on a TRAIN_DTYPE copy of the parameters, with Adamax state
     that lives for this call, so `model` itself is left unchanged; the
-    returned parameters are float64.
+    returned parameters are float64.  Raises FloatingPointError when an
+    epoch leaves the validation probabilities non-finite.
     """
     cfg = model.config
     if not examples:
@@ -548,6 +563,9 @@ def fit(model, examples):
             sel = perm[lo : lo + cfg.batch_size]
             losses.append(train_step(work, opt, X[sel], Y[sel], rng, ws=ws))
         probs = predict_proba(work, Xv)
+        if not np.isfinite(probs).all():
+            raise FloatingPointError(f"training diverged in epoch {epoch + 1}: "
+                                     "non-finite validation probabilities")
         acc = float(np.mean(probs.argmax(axis=1) == yv))
         snapshots.append({k: v.copy() for k, v in work.params.items()})
         val_accuracies.append(acc)
@@ -566,7 +584,7 @@ def fit(model, examples):
     return best_model.astype(np.float64)
 
 
-def gradient_check(config, seed=0, h=1e-5, ids=None):
+def gradient_check(config, seed=0, ids=None):
     """Max elementwise relative error between analytic and central-difference
     gradients on a tiny random model/sample.  Requires dropout disabled.
 
@@ -592,6 +610,7 @@ def gradient_check(config, seed=0, h=1e-5, ids=None):
         probs, _ = _forward(model, ids)
         return cross_entropy(probs, onehot)
 
+    h = 1e-5
     worst = 0.0
     for name in PARAM_NAMES:
         param = model.params[name]
@@ -611,8 +630,6 @@ def gradient_check(config, seed=0, h=1e-5, ids=None):
 
 
 def save_model(path, model, vocab, categories, extra_meta=None):
-    from . import checkpoint
-
     meta = {"kind": "nn", "config": asdict(model.config), "seed": model.config.seed}
     meta.update(extra_meta or {})
     meta["categories"] = list(categories)
@@ -630,9 +647,9 @@ def _config_from_header(path, header):
     if not isinstance(header, dict):
         raise ValueError(f"{path}: bad classifier config: expected an object, got {header!r}")
     values = dict(header)
-    # older headers name the optimizer, which is always Adamax
-    if values.pop("optimizer", "adamax") != "adamax":
-        raise ValueError(f"{path}: unsupported optimizer {header['optimizer']!r}")
+    for key, fixed in _HEADER_CONSTANTS.items():
+        if values.pop(key, fixed) != fixed:
+            raise ValueError(f"{path}: unsupported {key} {header[key]!r}")
     try:
         config = ClassifierConfig(**values)
     except TypeError as exc:
@@ -654,9 +671,6 @@ def _config_from_header(path, header):
 def from_checkpoint(meta, arrays, path):
     """(model, vocab, categories) from a loaded nn checkpoint; path names
     the file in errors.  Takes ownership of arrays."""
-    from . import checkpoint
-    from .tokens import Vocabulary
-
     if meta.get("kind") != "nn":
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'nn'")
     checkpoint.require_meta(path, meta, ("config", "vocab_tokens", "categories"))
@@ -674,7 +688,5 @@ def from_checkpoint(meta, arrays, path):
 
 def load_model(path):
     """Returns (model, vocab, categories, meta)."""
-    from . import checkpoint
-
     meta, arrays = checkpoint.load_checkpoint(path)
     return (*from_checkpoint(meta, arrays, path), meta)

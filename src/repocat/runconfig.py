@@ -7,16 +7,18 @@ module defaults.  The full document is serialized into every output
 artifact's header so any file can be traced back to the exact settings that
 produced it, and identical settings reproduce identical bytes.
 
-Where the keys come from: ``glove.*``, ``nn.*`` and ``synth.*`` are the
-fields of ``embedding.GloveConfig``, ``model.ClassifierConfig`` and
-``synth.SynthConfig`` with their defaults (less the classifier fields the
-data or the code fixes); ``data.seq_len``, ``split.*`` and ``lr.*`` are
-declared here.  Every value is an integer or a float; there are no booleans.
+Where the keys come from: ``glove.*``, ``nn.*``, ``lr.*`` and ``synth.*``
+are the fields of ``embedding.GloveConfig``, ``model.ClassifierConfig``,
+``baseline.LogregConfig`` and ``synth.SynthConfig`` with their defaults
+(less the classifier fields the data fixes); only ``data.seq_len`` and
+``split.*`` are declared here.  Every value is an integer or a finite float;
+there are no booleans.
 
 File format: UTF-8 text, one ``key = value`` pair per line; blank lines and
 lines starting with ``#`` are ignored.
 """
 
+import math
 from dataclasses import fields
 
 from . import baseline, embedding, model, synth, tokens
@@ -25,6 +27,7 @@ from . import baseline, embedding, model, synth, tokens
 _STAGES = {
     "glove": embedding.GloveConfig(),
     "nn": model.ClassifierConfig(num_categories=2),
+    "lr": baseline.LogregConfig(),
     "synth": synth.SynthConfig(),
 }
 # ClassifierConfig fields no key sets: the data gives num_categories and
@@ -43,12 +46,6 @@ DEFAULTS = {
     "split.holdout_per_category": 5,
     "split.per_category_count": 600,
     "split.seed": 1,
-    "lr.vocab_size": baseline.DEFAULT_VOCAB_SIZE,
-    "lr.l2": 1e-4,
-    "lr.learning_rate": 0.1,
-    "lr.epochs": 50,
-    "lr.batch_size": 128,
-    "lr.seed": 0,
 }
 DEFAULTS.update(
     (key, getattr(_STAGES[prefix], name))
@@ -70,7 +67,8 @@ class RunConfig:
 
     def set(self, key, value):
         """Set `key`.  Text is parsed as the type of the key's default, an
-        int is promoted for a float key, and any other value is rejected."""
+        int is promoted for a float key; other values and non-finite floats
+        are rejected."""
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key: {key!r}")
         kind = type(DEFAULTS[key])
@@ -85,6 +83,8 @@ class RunConfig:
             value = float(value)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"{key}: expected {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{key}: expected a finite number")
         self.values[key] = value
 
     def override_seeds(self, seed):
@@ -128,6 +128,9 @@ class RunConfig:
     def classifier_config(self, num_categories, embed_dims):
         return self._view("nn", num_categories=num_categories,
                           seq_len=self["data.seq_len"], embed_dims=embed_dims)
+
+    def logreg_config(self):
+        return self._view("lr")
 
     def synth_config(self):
         return self._view("synth")

@@ -4,10 +4,11 @@ Generates a directory tree of projects with real (extractable) C sources.
 Each category owns a code vocabulary (spread across project-specific
 "dialects"), a description vocabulary, and an exclusive three-token
 signature phrase planted contiguously in a fraction of function bodies.
-Category words fill identifier/call slots inside otherwise neutral C
+Category words fill the eight identifier/call slots of otherwise neutral C
 templates; each slot is independently re-drawn from a *different* category's
 vocabulary with probability `noise` (cross-category noise).  Every project
-gets a description built from its category's description vocabulary.
+gets a description of eight distinct words from its category's description
+vocabulary.  The vocabulary sizes are module constants.
 
 Bodies are kept short enough that the cd representation (code + delimiter +
 description) fits the default sequence length of 60, so the description
@@ -64,6 +65,12 @@ _TEMPLATES = (
     ),
 )
 
+CODE_VOCAB_PER_CATEGORY = 120
+DIALECT_SIZE = 30  # code words per project
+DESCR_VOCAB_PER_CATEGORY = 12
+# Words drawn per function and per description: one per slot, w0..w7 and d0..d7.
+WORDS_PER_FUNCTION = DESCR_WORDS_PER_PROJECT = 8
+
 _DESCRIPTION_TEMPLATE = (
     "A small library for {d0} {d1} and {d2} handling. "
     "Provides {d3} {d4} routines with {d5} and {d6} support, plus {d7} tools. "
@@ -79,11 +86,6 @@ class SynthConfig:
     functions_per_project: int = 20
     noise: float = 0.2
     seed: int = 0
-    code_vocab_per_category: int = 120
-    dialect_size: int = 30
-    words_per_function: int = 8
-    descr_vocab_per_category: int = 12
-    descr_words_per_project: int = 8
     phrase_rate: float = 0.5
     functions_per_file: int = 5
 
@@ -96,12 +98,6 @@ class SynthConfig:
             raise ValueError("need at least one function per project and file")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError("noise must be in [0, 1)")
-        if self.dialect_size > self.code_vocab_per_category:
-            raise ValueError("dialect_size cannot exceed code_vocab_per_category")
-        if self.words_per_function > self.dialect_size:
-            raise ValueError("words_per_function cannot exceed dialect_size")
-        if self.descr_words_per_project > self.descr_vocab_per_category:
-            raise ValueError("descr_words_per_project cannot exceed descr vocabulary")
         if not 0.0 <= self.phrase_rate <= 1.0:
             raise ValueError("phrase_rate must be in [0, 1]")
         return self
@@ -118,8 +114,8 @@ def _category_plan(cfg):
     for c in range(cfg.categories):
         cat = category_name(c)
         plan[cat] = {
-            "code_vocab": [f"{cat}_w{k:03d}" for k in range(cfg.code_vocab_per_category)],
-            "descr_vocab": [f"{cat}_d{k:02d}" for k in range(cfg.descr_vocab_per_category)],
+            "code_vocab": [f"{cat}_w{k:03d}" for k in range(CODE_VOCAB_PER_CATEGORY)],
+            "descr_vocab": [f"{cat}_d{k:02d}" for k in range(DESCR_VOCAB_PER_CATEGORY)],
             "phrase": [f"{cat}_sig_head", f"{cat}_sig_mid", f"{cat}_sig_tail"],
         }
     return plan
@@ -151,10 +147,10 @@ def generate_corpus(root, cfg):
             os.makedirs(pdir, exist_ok=True)
             dialect = [
                 code_vocab[int(i)]
-                for i in rng.choice(len(code_vocab), size=cfg.dialect_size, replace=False)
+                for i in rng.choice(len(code_vocab), size=DIALECT_SIZE, replace=False)
             ]
             d_picks = rng.choice(
-                len(descr_vocab), size=cfg.descr_words_per_project, replace=False
+                len(descr_vocab), size=DESCR_WORDS_PER_PROJECT, replace=False
             )
             descr_words = [descr_vocab[int(i)] for i in d_picks]
             description = _DESCRIPTION_TEMPLATE.format(
@@ -169,7 +165,7 @@ def generate_corpus(root, cfg):
             for k in range(cfg.functions_per_project):
                 fname = f"{pname}_fn{k:02d}"
                 words = []
-                for _ in range(cfg.words_per_function):
+                for _ in range(WORDS_PER_FUNCTION):
                     if other_cats and rng.random() < cfg.noise:
                         other = other_cats[int(rng.integers(len(other_cats)))]
                         pool = plan[other]["code_vocab"]

@@ -36,13 +36,10 @@ class TestBowVocabulary:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            B.BowVocabulary.build([[]])
+            B.BowVocabulary.build([[]], 10)
 
     def test_default_size_1800(self):
-        import inspect
-
-        sig = inspect.signature(B.BowVocabulary.build)
-        assert sig.parameters["size"].default == 1800
+        assert B.LogregConfig().vocab_size == 1800
 
 
 class TestBowFeatures:
@@ -99,47 +96,44 @@ def _separable(n_per_class=40, n_features=6, seed=0):
 class TestTrainLogreg:
     def test_learns_separable_data(self):
         X, y = _separable()
-        model = B.train_logreg(_counts(X), y, num_categories=2, epochs=50, seed=1)
+        model = B.train_logreg(_counts(X), y, 2, B.LogregConfig(epochs=50, seed=1))
         preds = np.argmax(X @ model.weights + model.bias, axis=1)
         assert np.mean(preds == y) > 0.95
 
     def test_full_batch_loss_non_increasing(self):
         X, y = _separable(seed=3)
-        model = B.train_logreg(
-            _counts(X), y, num_categories=2, lr=0.05, epochs=30, batch_size=len(y), seed=3
-        )
+        model = B.train_logreg(_counts(X), y, 2, B.LogregConfig(
+            learning_rate=0.05, epochs=30, batch_size=len(y), seed=3
+        ))
         losses = np.array(model.epoch_losses)
         assert len(losses) == 30
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_deterministic(self):
         X, y = _separable(seed=5)
-        m1 = B.train_logreg(_counts(X), y, 2, seed=7)
-        m2 = B.train_logreg(_counts(X), y, 2, seed=7)
+        m1 = B.train_logreg(_counts(X), y, 2, B.LogregConfig(seed=7))
+        m2 = B.train_logreg(_counts(X), y, 2, B.LogregConfig(seed=7))
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
 
     def test_l2_shrinks_weights(self):
         X, y = _separable(seed=2)
-        loose = B.train_logreg(_counts(X), y, 2, l2_lambda=0.0, epochs=40, seed=2)
-        tight = B.train_logreg(_counts(X), y, 2, l2_lambda=1.0, epochs=40, seed=2)
+        loose = B.train_logreg(_counts(X), y, 2, B.LogregConfig(l2=0.0, epochs=40, seed=2))
+        tight = B.train_logreg(_counts(X), y, 2, B.LogregConfig(l2=1.0, epochs=40, seed=2))
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
 
     def test_single_category_rejected(self):
         with pytest.raises(ValueError, match="single category"):
-            B.train_logreg(_counts(np.ones((4, 2))), [1, 1, 1, 1], 2)
+            B.train_logreg(_counts(np.ones((4, 2))), [1, 1, 1, 1], 2, B.LogregConfig())
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
-            B.train_logreg(_counts(np.ones((2, 2))), [0, 5], num_categories=2)
+            B.train_logreg(_counts(np.ones((2, 2))), [0, 5], 2, B.LogregConfig())
 
     def test_defaults_match_contract(self):
-        import inspect
-
-        sig = inspect.signature(B.train_logreg)
-        assert sig.parameters["l2_lambda"].default == 1e-4
-        assert sig.parameters["lr"].default == 0.1
-        assert sig.parameters["epochs"].default == 50
+        cfg = B.LogregConfig()
+        assert (cfg.l2, cfg.learning_rate, cfg.epochs) == (1e-4, 0.1, 50)
+        assert (cfg.batch_size, cfg.seed) == (128, 0)
 
 
 def dense_reference_logreg(X, labels, num_categories, l2_lambda=1e-4, lr=0.1,
@@ -183,7 +177,7 @@ def test_sparse_training_matches_the_dense_reference(batch_size):
     ]
     vocab = B.BowVocabulary.build(streams, size=50)
     X = B.features_matrix(streams, vocab)
-    got = B.train_logreg(X, labels, 4, epochs=12, batch_size=batch_size, seed=3)
+    got = B.train_logreg(X, labels, 4, B.LogregConfig(epochs=12, batch_size=batch_size, seed=3))
     W, b, losses = dense_reference_logreg(X.dense(), labels, 4, epochs=12,
                                           batch_size=batch_size, seed=3)
     np.testing.assert_allclose(got.weights, W, rtol=0, atol=1e-12)
@@ -207,7 +201,7 @@ class TestPredict:
 
     def test_batch_matches_row_at_a_time(self):
         X, y = _separable(seed=4)
-        model = B.train_logreg(_counts(X), y, 2, seed=4)
+        model = B.train_logreg(_counts(X), y, 2, B.LogregConfig(seed=4))
         whole = B.predict_logreg(model, _counts(X))
         for i in range(len(X)):
             np.testing.assert_allclose(
@@ -218,7 +212,7 @@ class TestPredict:
 
 def test_save_load_round_trip(tmp_path):
     X, y = _separable(seed=9)
-    model = B.train_logreg(_counts(X), y, 2, seed=9)
+    model = B.train_logreg(_counts(X), y, 2, B.LogregConfig(seed=9))
     vocab = B.BowVocabulary([f"tok{i}" for i in range(X.shape[1])])
     path = tmp_path / "baseline.ckpt"
     B.save_baseline(path, model, vocab, ["games", "sound"], {"seed": 9})
@@ -243,7 +237,7 @@ def test_save_load_round_trip(tmp_path):
 ], ids=["missing", "wrong-shape"])
 def test_load_checks_array_names_and_shapes(tmp_path, edit, message):
     X, y = _separable(seed=9)
-    model = B.train_logreg(_counts(X), y, 2, seed=9)
+    model = B.train_logreg(_counts(X), y, 2, B.LogregConfig(seed=9))
     vocab = B.BowVocabulary([f"tok{i}" for i in range(X.shape[1])])
     path = tmp_path / "baseline.ckpt"
     B.save_baseline(path, model, vocab, ["games", "sound"])

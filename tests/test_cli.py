@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repocat
@@ -301,7 +302,13 @@ def test_config_file_unknown_key(pipeline, capsys):
     assert "glove.bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["glove.distance_weighting", "embed.random_scale"])
+@pytest.mark.parametrize("key", [
+    "glove.distance_weighting", "embed.random_scale",
+    "nn.strides", "nn.beta1", "nn.beta2", "nn.epsilon",
+    "synth.code_vocab_per_category", "synth.dialect_size",
+    "synth.descr_vocab_per_category", "synth.words_per_function",
+    "synth.descr_words_per_project",
+])
 def test_config_file_naming_a_removed_key_fails(pipeline, capsys, key):
     cfg_path = pipeline["work"] / "old.cfg"
     cfg_path.write_text(f"glove.seed = 3\n{key} = 1\n")
@@ -309,6 +316,55 @@ def test_config_file_naming_a_removed_key_fails(pipeline, capsys, key):
                "--train", pipeline["train"],
                "-o", pipeline["work"] / "x.txt") == 1
     assert capsys.readouterr().err == f"error: {cfg_path}:2: unknown config key: '{key}'\n"
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_config_file_non_finite_number_fails(pipeline, capsys, text):
+    cfg_path = pipeline["work"] / "nonfinite.cfg"
+    cfg_path.write_text(f"glove.seed = 3\nglove.x_max = {text}\n")
+    assert run("--config", cfg_path, "embed", "random",
+               "--train", pipeline["train"],
+               "-o", pipeline["work"] / "x.txt") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg_path}:2: glove.x_max: expected a finite number\n"
+
+
+def test_non_finite_flag_value_fails(pipeline, capsys):
+    assert run("embed", "train", pipeline["train"], "--strategy", "code-only",
+               "--x-max", "inf", "-o", pipeline["work"] / "x.txt") == 1
+    assert capsys.readouterr().err == "error: glove.x_max: expected a finite number\n"
+
+
+@pytest.mark.parametrize("command, flags, config_line, message", [
+    ("lr", ["--epochs", 0], None, "epochs must be >= 1, got 0"),
+    ("lr", [], "lr.batch_size = 0", "batch_size must be >= 1, got 0"),
+    ("lr", ["--vocab-size", 0], None, "vocab_size must be >= 1, got 0"),
+    ("lr", ["--lr", -5], None, "learning_rate must be positive, got -5.0"),
+    ("lr", [], "lr.l2 = -0.5", "l2 must be >= 0, got -0.5"),
+    ("nn", ["--lr", 0], None, "learning_rate must be positive, got 0.0"),
+], ids=["lr-epochs", "lr-batch_size", "lr-vocab_size", "lr-learning_rate",
+        "lr-l2", "nn-learning_rate"])
+def test_train_rejects_out_of_range_settings(pipeline, capsys, command, flags,
+                                             config_line, message):
+    argv = ["train", command, pipeline["train"], *flags, "-o", pipeline["work"] / "x.ckpt"]
+    if command == "nn":
+        argv += ["--embedding", pipeline["emb_cd"]]
+    if config_line:
+        cfg_path = pipeline["work"] / "range.cfg"
+        cfg_path.write_text(config_line + "\n")
+        argv = ["--config", cfg_path, *argv]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_train_nn_blow_up_fails_loudly(pipeline, capsys):
+    # a finite but huge rate blows the weights up in the epoch's one step
+    with np.errstate(all="ignore"):
+        assert run("train", "nn", pipeline["train"], "--embedding", pipeline["emb_cd"],
+                   "--epochs", 1, "--lr", 1e30, "-o", pipeline["work"] / "x.ckpt") == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged in epoch 1: non-finite validation probabilities\n"
+    )
 
 
 def test_rerun_is_byte_identical(pipeline):

@@ -12,7 +12,7 @@ from repocat.model import ClassifierConfig, TrainExample
 def tiny_config(**overrides):
     base = dict(
         num_categories=3, seq_len=10, embed_dims=8, filters=4, kernel_size=3,
-        strides=1, pool_size=2, lstm_units=5, hide_u=8, dropout_level=0.0,
+        pool_size=2, lstm_units=5, hide_u=8, dropout_level=0.0,
         epochs=2, batch_size=8, seed=0,
     )
     base.update(overrides)
@@ -38,7 +38,7 @@ def oracle_forward(model, ids_1d):
             acc = p["conv_b"][f]
             for k in range(cfg.kernel_size):
                 for d in range(cfg.embed_dims):
-                    acc += X[t * cfg.strides + k, d] * p["conv_w"][k, d, f]
+                    acc += X[t + k, d] * p["conv_w"][k, d, f]
             Z[t, f] = acc
     A = np.maximum(Z, 0.0)
     P = np.zeros((T2, cfg.filters))
@@ -69,12 +69,15 @@ class TestConfig:
         assert cfg.pooled_len == 29
         assert (cfg.filters, cfg.lstm_units, cfg.hide_u) == (250, 100, 512)
         assert cfg.dropout_level == 0.5
-        assert (cfg.learning_rate, cfg.beta1, cfg.beta2) == (0.002, 0.9, 0.999)
+        assert cfg.learning_rate == 0.002
+        assert (M.BETA1, M.BETA2, M.EPSILON) == (0.9, 0.999, 1e-8)
         assert cfg.epochs == 3 and cfg.batch_size == 128
 
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_config(num_categories=1).validate()
+        with pytest.raises(ValueError, match="unsupported strides 2"):
+            tiny_config(strides=2)
         with pytest.raises(ValueError):
             tiny_config(kernel_size=11).validate()
         with pytest.raises(ValueError):
@@ -133,22 +136,22 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert (probs >= 0).all()
 
-    def test_batching_invariance(self):
+    def test_batching_invariance(self, monkeypatch):
         m = make_model(seed=2)
         rng = np.random.default_rng(5)
         ids = rng.integers(0, 12, size=(9, m.config.seq_len))
         whole = M.predict_proba(m, ids)
-        batched = M.predict_proba(m, ids, batch_size=2)
+        monkeypatch.setattr(M, "PREDICT_ROWS", 2)
+        batched = M.predict_proba(m, ids)
         np.testing.assert_allclose(whole, batched, atol=1e-15)
 
     @pytest.mark.parametrize("chunk", [1, 16, 37])
-    def test_chunked_rows_match_per_row_calls(self, chunk):
+    def test_chunked_rows_match_per_row_calls(self, chunk, monkeypatch):
         m = make_model(seed=6)
         ids = np.random.default_rng(6).integers(0, 12, size=(37, m.config.seq_len))
         rows = np.array([M.predict_proba(m, row[None, :])[0] for row in ids])
-        np.testing.assert_allclose(
-            M.predict_proba(m, ids, batch_size=chunk), rows, rtol=0, atol=1e-12
-        )
+        monkeypatch.setattr(M, "PREDICT_ROWS", chunk)
+        np.testing.assert_allclose(M.predict_proba(m, ids), rows, rtol=0, atol=1e-12)
 
     def test_bad_ids_rejected(self):
         m = make_model()
@@ -225,9 +228,9 @@ class TestGradients:
 
 
 def tail_config():
-    """Stride 2 and pool 3 over 17 tokens: conv_len 8, pooled_len 2, so two
-    conv steps fall past the last pool window."""
-    cfg = tiny_config(strides=2, pool_size=3, seq_len=17)
+    """Pool 3 over 18 tokens: conv_len 16, pooled_len 5, so one conv step
+    falls past the last pool window."""
+    cfg = tiny_config(pool_size=3, seq_len=18)
     assert cfg.conv_len % cfg.pool_size != 0
     return cfg
 
@@ -291,7 +294,7 @@ class TestAdamax:
         want = {
             n: oracle_adamax(
                 m.params[n], [g[n] for g in grads_seq],
-                cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon,
+                cfg.learning_rate, M.BETA1, M.BETA2, M.EPSILON,
             )
             for n in M.PARAM_NAMES
         }
@@ -348,12 +351,12 @@ class TestAdamax:
         for t in range(1, 4):
             grads = {n: rng.normal(size=v.shape).astype(np.float32) for n, v in params.items()}
             opt.step(params, grads)
-            correction = 1.0 - cfg.beta1 ** t
+            correction = 1.0 - M.BETA1 ** t
             for n, g in grads.items():
-                m[n] *= cfg.beta1
-                m[n] += (1.0 - cfg.beta1) * g
-                np.maximum(cfg.beta2 * u[n], np.abs(g), out=u[n])
-                want[n] -= cfg.learning_rate * (m[n] / correction) / (u[n] + cfg.epsilon)
+                m[n] *= M.BETA1
+                m[n] += (1.0 - M.BETA1) * g
+                np.maximum(M.BETA2 * u[n], np.abs(g), out=u[n])
+                want[n] -= cfg.learning_rate * (m[n] / correction) / (u[n] + M.EPSILON)
         for n in params:
             np.testing.assert_array_equal(params[n], want[n], err_msg=n)
 
@@ -525,6 +528,17 @@ class TestFit:
         with pytest.raises(ValueError, match="validation"):
             M.fit(make_model(cfg), ex)
 
+    @pytest.mark.parametrize("learning_rate", [1e30, float("nan")])
+    def test_blown_up_training_stops_loudly(self, learning_rate):
+        # one step per epoch: no later train step sees the blown-up weights,
+        # so only the validation pass can catch them
+        cfg = tiny_config(num_categories=2, epochs=1, batch_size=1000,
+                          learning_rate=learning_rate, seed=4)
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="diverged in epoch 1"
+        ):
+            M.fit(make_model(cfg, seed=4), synthetic_examples(cfg, seed=4))
+
     def test_category_vanishing_into_validation_rejected(self):
         cfg = tiny_config(num_categories=2, validation_fraction=0.5, seed=0)
         # category 1 lives in exactly one project; any seed that withholds it
@@ -652,6 +666,31 @@ class TestModelIO:
         C.save_checkpoint(path, meta, arrays)
         with pytest.raises(ValueError, match=r"model\.ckpt: unsupported optimizer 'sgd'"):
             M.load_model(path)
+
+    def test_header_spelling_out_the_constants_loads(self, tmp_path):
+        # checkpoints written while the stride and Adamax's constants were
+        # config fields name them; another value than the constant's is refused
+        from repocat import checkpoint as C
+        from repocat import tokens as T
+
+        cfg = tiny_config()
+        m = make_model(cfg, seed=8)
+        vocab = T.build_vocabulary([[f"tok{i}" for i in range(10)]])
+        path = tmp_path / "model.ckpt"
+        M.save_model(path, m, vocab, ["a", "b", "c"])
+        meta, arrays = C.load_checkpoint(path)
+        meta["config"].update(strides=1, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        C.save_checkpoint(path, meta, arrays)
+        loaded, _, _, _ = M.load_model(path)
+        assert loaded.config == cfg
+        ids = np.random.default_rng(2).integers(0, 12, size=(5, cfg.seq_len))
+        np.testing.assert_array_equal(
+            M.predict_proba(m, ids), M.predict_proba(loaded, ids)
+        )
+        for key, value in (("strides", 2), ("beta1", 0.5)):
+            C.save_checkpoint(path, {**meta, "config": {**meta["config"], key: value}}, arrays)
+            with pytest.raises(ValueError, match=rf"model\.ckpt: unsupported {key} {value}$"):
+                M.load_model(path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda arrays: arrays.pop("lstm_wh"), "checkpoint arrays"),

@@ -1,10 +1,12 @@
 """Tests for the flat run-wide configuration document."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
-from repocat import embedding, model, synth
+from repocat import baseline, embedding, model, synth
 from repocat.runconfig import DEFAULTS, SEED_KEYS, RunConfig
 
 
@@ -14,13 +16,13 @@ def test_defaults_mirror_module_dataclasses():
                  "iterations", "seed"):
         assert DEFAULTS[f"glove.{name}"] == getattr(glove, name)
     nn = model.ClassifierConfig(num_categories=2)
-    for name in ("filters", "kernel_size", "strides", "pool_size",
+    for name in ("filters", "kernel_size", "pool_size",
                  "lstm_units", "hide_u", "dropout_level", "epochs",
-                 "batch_size", "learning_rate", "beta1", "beta2", "epsilon",
-                 "validation_fraction", "seed"):
+                 "batch_size", "learning_rate", "validation_fraction", "seed"):
         assert DEFAULTS[f"nn.{name}"] == getattr(nn, name)
-    for field in dataclasses.fields(synth.SynthConfig):
-        assert DEFAULTS[f"synth.{field.name}"] == getattr(synth.SynthConfig(), field.name)
+    for prefix, stage in (("lr", baseline.LogregConfig()), ("synth", synth.SynthConfig())):
+        for field in dataclasses.fields(stage):
+            assert DEFAULTS[f"{prefix}.{field.name}"] == getattr(stage, field.name)
 
 
 def test_keys_are_exactly_the_documented_set():
@@ -33,19 +35,17 @@ def test_keys_are_exactly_the_documented_set():
         "glove.window", "glove.x_max",
         "lr.batch_size", "lr.epochs", "lr.l2", "lr.learning_rate", "lr.seed",
         "lr.vocab_size",
-        "nn.batch_size", "nn.beta1", "nn.beta2", "nn.dropout_level",
-        "nn.epochs", "nn.epsilon", "nn.filters", "nn.hide_u",
+        "nn.batch_size", "nn.dropout_level",
+        "nn.epochs", "nn.filters", "nn.hide_u",
         "nn.kernel_size", "nn.learning_rate", "nn.lstm_units",
-        "nn.pool_size", "nn.seed", "nn.strides", "nn.validation_fraction",
+        "nn.pool_size", "nn.seed", "nn.validation_fraction",
         "split.holdout_per_category", "split.per_category_count",
         "split.seed",
-        "synth.categories", "synth.code_vocab_per_category",
-        "synth.descr_vocab_per_category", "synth.descr_words_per_project",
-        "synth.dialect_size", "synth.functions_per_file",
+        "synth.categories", "synth.functions_per_file",
         "synth.functions_per_project", "synth.noise", "synth.phrase_rate",
         "synth.projects_per_category", "synth.seed",
-        "synth.words_per_function",
     ]
+    assert len(DEFAULTS) == 35
     assert sorted(SEED_KEYS) == [
         "glove.seed", "lr.seed", "nn.seed", "split.seed", "synth.seed",
     ]
@@ -114,13 +114,13 @@ def test_from_file_round_trips_typed_values(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "glove.x_max = 10.0\n"
-        "nn.epsilon = 1e-06\n"
+        "nn.dropout_level = 0.25\n"
         "nn.seed = 4\n"
     )
     cfg = RunConfig().from_file(path)
     expected = RunConfig()
     expected.set("glove.x_max", 10.0)
-    expected.set("nn.epsilon", 1e-6)
+    expected.set("nn.dropout_level", 0.25)
     expected.set("nn.seed", 4)
     assert cfg.values == expected.values
     assert isinstance(cfg["glove.x_max"], float)
@@ -202,3 +202,11 @@ def test_synth_view_round_trips_dataclass():
     cfg.set("synth.noise", 0.1)
     scfg = cfg.synth_config()
     assert scfg == dataclasses.replace(synth.SynthConfig(), categories=2, noise=0.1)
+
+
+def test_readme_documents_every_key_and_default():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `([a-z_.0-9]+)` \| `([^`]+)` \|", readme.read_text(), re.M)
+    assert [key for key, _ in rows] == sorted(DEFAULTS)
+    for key, default in rows:
+        assert type(DEFAULTS[key])(default) == DEFAULTS[key], key

@@ -55,12 +55,12 @@ def test_category_names():
 
 
 def test_manifest_contents(small_corpus):
-    root, cfg, manifest = small_corpus
+    _, _, manifest = small_corpus
     assert manifest["categories"] == ["sound", "network"]
     for cat in manifest["categories"]:
         plan = manifest["plan"][cat]
-        assert len(plan["code_vocab"]) == cfg.code_vocab_per_category
-        assert len(plan["descr_vocab"]) == cfg.descr_vocab_per_category
+        assert len(plan["code_vocab"]) == synth.CODE_VOCAB_PER_CATEGORY
+        assert len(plan["descr_vocab"]) == synth.DESCR_VOCAB_PER_CATEGORY
         assert len(plan["phrase"]) == 3
         assert all(w.startswith(cat) for w in plan["code_vocab"] + plan["phrase"])
     assert manifest["config"]["seed"] == SMALL["seed"]
@@ -179,9 +179,9 @@ def test_seed_changes_content(tmp_path):
         {"functions_per_project": 0},
         {"noise": 1.0},
         {"noise": -0.1},
-        {"dialect_size": 10_000},
-        {"words_per_function": 10_000},
-        {"descr_words_per_project": 10_000},
+        {"categories": 0},
+        {"functions_per_file": 0},
+        {"phrase_rate": -0.1},
         {"phrase_rate": 1.5},
     ],
 )
