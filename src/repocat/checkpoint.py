@@ -85,7 +85,8 @@ def load_checkpoint(path):
         raise ValueError(
             f"{path}: corrupt checkpoint header: expected an object with an 'arrays' list"
         )
-    body = raw[start + header_len :]
+    # a view, so each array's bytes are copied once, by astype
+    body = memoryview(raw)[start + header_len :]
     arrays = {}
     for entry in header.get("arrays", []):
         if not _well_formed(entry):

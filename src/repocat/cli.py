@@ -436,11 +436,14 @@ def cmd_train_lr(args, cfg):
 
 def _load_predictor(path):
     """(predict_batch, categories, kind) from either checkpoint flavor, read
-    once; predict_batch maps N token lists to (N, C) probabilities."""
+    once; predict_batch maps N token lists to (N, C) probabilities.  The
+    network runs in model.TRAIN_DTYPE, the precision `fit` trains it in and
+    picks its epoch by."""
     meta, arrays = checkpoint.load_checkpoint(path)
     kind = meta.get("kind")
     if kind == "nn":
         net, vocab, categories = model.from_checkpoint(meta, arrays, path)
+        net = net.astype(model.TRAIN_DTYPE)
 
         def predict(streams):
             seq_len = net.config.seq_len

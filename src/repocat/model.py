@@ -2,13 +2,19 @@
 -> LSTM -> dense -> softmax, trained with Adamax at constant BETA1/BETA2/EPSILON.
 
 `fit` trains a TRAIN_DTYPE (float32) working copy of the parameters and
-the embedding table (cast once per `fit`), and returns float64 parameters
-(the trained values widened exactly) with the caller's float64 embedding.
-The optimizer state (an `Adamax`) belongs to the `fit` call: a model holds
-only parameters, its frozen embedding and its training history.
+the embedding table (cast once per `fit`), picks its epoch from a
+TRAIN_DTYPE `predict_proba` on the validation slice, and returns float64
+parameters (the trained values widened exactly) with the caller's float64
+embedding.  The optimizer state (an `Adamax`) belongs to the `fit` call: a
+model holds only parameters, its frozen embedding and its training history.
 Everything else runs in the dtype of `model.params`, which is float64 for
-a fresh, fitted or loaded model: inference, `conv_activations` and
-`gradient_check`.  The forward pass casts looked-up rows only when the
+a fresh, fitted or loaded model.  `eval` casts the loaded model to
+TRAIN_DTYPE with `astype`, so it predicts in the precision the model was
+trained and validated in.  `conv_activations` (`explain`) and
+`gradient_check` stay float64: `explain` prints each window's mean
+activation beside its per-filter values, which a test holds to 1e-12 of
+their mean, and the central differences of the gradient check need
+float64's resolution.  The forward pass casts looked-up rows only when the
 table's dtype differs from the parameters'.
 
 The forward and backward passes run time-major: the lookup gathers each
@@ -63,15 +69,20 @@ from .tokens import Vocabulary
 
 logger = logging.getLogger(__name__)
 
-# Rows per forward pass in predict_proba.  Measured on 3,600 evaluated
-# functions: 16 rows ran 2.5x faster than 1 row, as fast as 32 rows, and
-# kept peak memory about 4 MB lower than 32; activations grow with rows.
-PREDICT_ROWS = 16
+# Rows per forward pass in predict_proba.  Measured in TRAIN_DTYPE on the
+# 3,600 `cd` rows of a `categorize` fixture (best of 5; 2-CPU Xeon, NumPy
+# 2.4.6, OpenBLAS): 16 rows took 0.91 s, 32 rows 0.79 s and 64 rows 0.66 s,
+# with tracemalloc peaks of 2.8, 5.0 and 9.5 MB.  32 is the fastest whose
+# peak stays under the float64 pass's 5.6 MB (16 rows, 1.61 s); activations
+# grow with rows.
+PREDICT_ROWS = 32
 
-# Training precision.  A batch-128 train step at the stock shapes, on a
-# warm workspace, took 74-79 ms in float32 against 152-158 ms in float64
-# (best of 9, two processes; 2-CPU Xeon, NumPy 2.4.6, OpenBLAS): the GEMMs
-# run at twice the rate and the elementwise LSTM work moves half the bytes.
+# Training and `eval` precision.  A batch-128 train step at the stock
+# shapes, on a warm workspace, took 74-79 ms in float32 against 152-158 ms
+# in float64 (best of 9, two processes; 2-CPU Xeon, NumPy 2.4.6, OpenBLAS):
+# the GEMMs run at twice the rate and the elementwise LSTM work moves half
+# the bytes.  `eval` predicts in it too, about twice as fast as in float64;
+# `explain` and `gradient_check` keep float64.
 TRAIN_DTYPE = np.float32
 
 # Adamax's decay rates and denominator floor: the Keras defaults.

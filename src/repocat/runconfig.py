@@ -67,8 +67,8 @@ class RunConfig:
 
     def set(self, key, value):
         """Set `key`.  Text is parsed as the type of the key's default, an
-        int is promoted for a float key; other values and non-finite floats
-        are rejected."""
+        int is promoted for a float key; other values, non-finite floats and
+        negative seeds are rejected."""
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key: {key!r}")
         kind = type(DEFAULTS[key])
@@ -85,6 +85,9 @@ class RunConfig:
             raise ValueError(f"{key}: expected {kind.__name__}, got {value!r}")
         if kind is float and not math.isfinite(value):
             raise ValueError(f"{key}: expected a finite number")
+        if key in SEED_KEYS and value < 0:
+            # NumPy's generators refuse a negative seed without naming the key
+            raise ValueError(f"{key}: expected a non-negative integer, got {value}")
         self.values[key] = value
 
     def override_seeds(self, seed):

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,25 @@ def test_loaded_arrays_are_writable_copies(tmp_path):
     _, arrays = checkpoint.load_checkpoint(path)
     arrays["w"][0, 0] = 5.0  # must not raise (frombuffer alone is read-only)
     assert arrays["w"][0, 0] == 5.0
+
+
+def test_load_copies_each_array_once(tmp_path):
+    # the file's bytes plus one float64 copy of each array (2x the file); one
+    # more copy of the body, or of each array's bytes, would exceed 2.5x
+    path = tmp_path / "big.ckpt"
+    rng = np.random.default_rng(1)
+    checkpoint.save_checkpoint(path, {"kind": "nn"}, {
+        "embedding": rng.normal(size=(4000, 100)), "w": rng.normal(size=(300, 250)),
+    })
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, arrays = checkpoint.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size, (peak, size)
+    assert arrays["embedding"].flags.writeable and arrays["w"].flags.owndata
 
 
 def _assert_entry_rejected(tmp_path, entry):

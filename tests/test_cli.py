@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repocat
-from repocat import checkpoint, cli, corpus, fileio, runconfig
+from repocat import checkpoint, cli, corpus, fileio, model, runconfig, tokens
 
 
 def run(*argv):
@@ -130,9 +130,26 @@ def test_eval_malformed_header_names_the_file(pipeline, capsys, kind, edit, mess
     assert re.fullmatch(rf"error: {re.escape(str(bad))}: {message}\n", err), err
 
 
+def test_eval_predicts_in_the_training_dtype(pipeline):
+    predict, _, kind = cli._load_predictor(pipeline["nn"])
+    assert kind == "nn"
+    net, vocab, _, _ = model.load_model(pipeline["nn"])
+    holdout, _ = corpus.read_token_dataset(pipeline["holdout"])
+    streams = [tokens.variant_tokens(r.tokens, r.descr_tokens, "cd") for r in holdout]
+    ids = np.stack([tokens.encode(s, vocab, net.config.seq_len) for s in streams])
+    got = predict(streams)
+    want = model.predict_proba(net.astype(model.TRAIN_DTYPE), ids)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the float64 forward of the same checkpoint agrees to float32 rounding
+    wide = model.predict_proba(net, ids)
+    assert np.abs(got - wide).max() < 1e-5
+    np.testing.assert_array_equal(got.argmax(axis=1), wide.argmax(axis=1))
+
+
 def test_scipy_is_loaded_only_where_training_runs(pipeline):
     # importing scipy.sparse costs about 0.26 s and 22 MB of RSS: the CLI module,
-    # and eval of either checkpoint kind, never load it
+    # and eval of either checkpoint kind (nn through its TRAIN_DTYPE cast),
+    # never load it
     script = (
         "import sys\n"
         "import repocat.cli\n"
@@ -333,6 +350,23 @@ def test_non_finite_flag_value_fails(pipeline, capsys):
     assert run("embed", "train", pipeline["train"], "--strategy", "code-only",
                "--x-max", "inf", "-o", pipeline["work"] / "x.txt") == 1
     assert capsys.readouterr().err == "error: glove.x_max: expected a finite number\n"
+
+
+@pytest.mark.parametrize("global_flags, command_flags, config_line, message", [
+    (["--seed", -1], [], None, "split.seed: expected a non-negative integer, got -1"),
+    ([], ["--seed", -1], None, "glove.seed: expected a non-negative integer, got -1"),
+    ([], [], "glove.seed = -1", "{cfg}:2: glove.seed: expected a non-negative integer, got -1"),
+], ids=["global-seed", "command-seed", "config-line"])
+def test_negative_seed_is_refused_naming_the_key(pipeline, capsys, global_flags,
+                                                 command_flags, config_line, message):
+    # NumPy's own refusal, raised later, names neither the flag nor the key
+    cfg_path = pipeline["work"] / "seed.cfg"
+    if config_line:
+        cfg_path.write_text(f"glove.dims = 8\n{config_line}\n")
+        global_flags = [*global_flags, "--config", cfg_path]
+    assert run(*global_flags, "embed", "random", "--train", pipeline["train"],
+               *command_flags, "-o", pipeline["work"] / "x.txt") == 1
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg_path)}\n"
 
 
 @pytest.mark.parametrize("command, flags, config_line, message", [
