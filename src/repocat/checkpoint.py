@@ -15,6 +15,7 @@ restored bit-exactly.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -68,34 +69,40 @@ def _well_formed(entry):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (meta, {name: float64 ndarray})."""
+    """Read a checkpoint; returns (meta, {name: float64 ndarray}).
+
+    The header is read first, then each array straight into its own buffer,
+    so a load holds little more than the arrays it returns.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
-    start = len(MAGIC) + 8
-    if start + header_len > len(raw):
-        raise ValueError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(raw[start : start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
-        raise ValueError(
-            f"{path}: corrupt checkpoint header: expected an object with an 'arrays' list"
-        )
-    # a view, so each array's bytes are copied once, by astype
-    body = memoryview(raw)[start + header_len :]
-    arrays = {}
-    for entry in header.get("arrays", []):
-        if not _well_formed(entry):
-            raise ValueError(f"{path}: corrupt array entry {entry!r}")
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if hi > len(body):
-            raise ValueError(f"{path}: truncated array {entry['name']!r}")
-        arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(entry["shape"])
-        arrays[entry["name"]] = arr.astype(np.float64, copy=True)
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(MAGIC) + 8)
+        if len(prefix) < len(MAGIC) + 8 or prefix[: len(MAGIC)] != MAGIC:
+            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
+        (header_len,) = struct.unpack_from("<Q", prefix, len(MAGIC))
+        start = len(MAGIC) + 8
+        if start + header_len > size:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from exc
+        if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
+            raise ValueError(
+                f"{path}: corrupt checkpoint header: expected an object with an 'arrays' list"
+            )
+        body = start + header_len
+        arrays = {}
+        for entry in header.get("arrays", []):
+            if not _well_formed(entry):
+                raise ValueError(f"{path}: corrupt array entry {entry!r}")
+            if body + entry["offset"] + entry["nbytes"] > size:
+                raise ValueError(f"{path}: truncated array {entry['name']!r}")
+            arr = np.empty(entry["shape"], dtype="<f8")
+            fh.seek(body + entry["offset"])
+            if fh.readinto(arr) != entry["nbytes"]:
+                raise ValueError(f"{path}: truncated array {entry['name']!r}")
+            arrays[entry["name"]] = arr.astype(np.float64, copy=False)
     meta = {k: v for k, v in header.items() if k != "arrays"}
     return meta, arrays
 

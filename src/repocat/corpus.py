@@ -1,33 +1,57 @@
 """Labeled project corpus: C/C++ function extraction, loading, splitting.
 
-Extraction is a lexical heuristic, not a parser.  `_lex` turns a file into
-events, skipping comments, whitespace and preprocessor lines and collapsing
-string/char literals; a `'` inside a number is a C++14 digit separator
-(`1'000`), not a char literal.  One right-to-left pass over the events then
-builds two tables: `partner`, the matching ')' or '}' of every '(' and '{',
-and `reach`, where a linkage starting at each event ends.  A linkage is what
-may sit between a parameter list and its body: words, numbers, literals, the
-symbols of `_LINKAGE` and balanced (...) groups of these.
+Extraction is a lexical heuristic, not a parser, and reads a file on two
+levels.  A pre-pass (`_brace_partners`) is one regex scan of the whole file
+that matches only comments, literals, preprocessor lines and braces, and
+gives every '{' the offset of its partner '}', or -1.  The lexer (`_lex`)
+then turns one scope, the text of a file or of a brace group, into events.
+It skips comments, whitespace and preprocessor lines, collapses each
+string/char literal to one event, and yields every brace group inside the
+scope as its '{' and '}' without lexing what lies between them; an unclosed
+'{' is its scope's last event.  Both levels apply the same lexical rules: a
+'#' starts a directive only when nothing but whitespace and comments has
+come since the line start, and a backslash-newline continues a directive; a
+literal stops at a raw newline, and a backslash escapes the next character,
+a newline included; words are runs of word characters that do not start
+with a decimal digit, numbers start with one, and a ' followed by a word
+character continues a number (the C++14 digit separator `1'000`), so
+`u8'}'` and `x1'}'` are char literals.
+
+Per scope, one right-to-left pass over the events builds two tables:
+`partner`, the matching ')' or '}' of every '(' and '{', and `reach`, where a
+linkage starting at each event ends.  A linkage is what may sit between a
+parameter list and its body: words, numbers, literals, the symbols of
+`_LINKAGE` and balanced (...) groups of these.  Parentheses pair only within
+one scope, so a ')' inside a brace group never closes a '(' outside it.
+Where brackets do not cross, this pairs them as one scan of the whole file
+would; where they cross, it can differ (`void f ( ( { ) } ) { }` gives no
+function).
 
 A definition is `word (params) linkage { body }` where the word is not a
 control keyword or linkage word, the braces in the params balance, and the
 linkage reaches a '{'.  The end of the params, the linkage check and the end
-of the body are each one table lookup, so extraction runs in linear time.
-One forward loop takes the definitions in order.  It walks through the
-braces of non-function scopes (namespaces, extern "C", class bodies), so
-functions inside them are found, and jumps over each body, so local blocks
-never spawn candidates.  A body runs from the start of its declaration
-through the closing brace.
+of the body are each one table lookup.  One forward loop takes the
+definitions in order and jumps over each body, so local blocks are never
+lexed and never spawn candidates.  A '{' that the loop walks into instead
+(a namespace, extern "C", a class body, an initializer) has its interior
+lexed as a scope of its own, so functions inside it are found.  Scopes wait
+on an explicit stack, not in recursion, and no text is lexed twice, so
+extraction runs in linear time.  A body runs from the start of its
+declaration through the closing brace.
 
 Naming: the word before the '(' names the function, and a '~' right before
-that word joins the name (`Foo::~Foo() {...}` is `~Foo`).  A `word(...)`
-group later in the linkage, before any single ':' (a ctor initializer list),
-names the function instead when a return type separates it from the
-previous group's ')'.  The groups before it were X-macro rows
-(`X(a, 1) X(b, 2) int f(void) {...}` is `f`), and the body starts after
-them.  A group right after a ')', or after qualifiers such as `const`, is an
-attribute macro and does not rename (`int foo(int a) MY_ATTR(x) {...}` is
-`foo`).
+that word joins the name (`Foo::~Foo() {...}` is `~Foo`).  The word
+`operator` names it together with what follows up to the '(': operator
+symbols, `()`, `[]`, `new`/`delete` or a conversion type, their text joined
+without whitespace or comments so that every name is one token
+(`bool operator==(...) {...}` is `operator==`, `operator bool() {...}` is
+`operatorbool`).  A `word(...)` group later in the linkage, before any
+single ':' (a ctor initializer list), names the function instead when a
+return type separates it from the previous group's ')'.  The groups before
+it were X-macro rows (`X(a, 1) X(b, 2) int f(void) {...}` is `f`), and the
+body starts after them.  A group right after a ')', or after qualifiers such
+as `const`, is an attribute macro and does not rename
+(`int foo(int a) MY_ATTR(x) {...}` is `foo`).
 
 K&R definitions (`int k(a, b) int a; { ... }`) are not extracted: the ';'
 ends the linkage.
@@ -38,6 +62,7 @@ the training side is balanced by undersampling functions per category.
 
 import logging
 import os
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -67,6 +92,9 @@ _QUALIFIERS = {"const", "volatile", "noexcept", "override", "final"}
 # numbers, literals, and the symbols of pointer/reference returns, scopes,
 # templates and trailing return types.
 _LINKAGE = {"word", "num", "str", "*", "&", ":", ",", "<", ">", "-", "."}
+
+# Events that end the name after the word `operator`.
+_OPERATOR_STOPS = {"(", ";", "{", "}", "eof"}
 
 
 @dataclass
@@ -118,81 +146,108 @@ class FunctionTokens:
     descr_tokens: list = field(default_factory=list)
 
 
-def _lex(source):
-    """Yield (kind, start, end) events over source.
+# Lexical fragments shared by the brace pre-pass and the scope lexer, so the
+# two agree on where every comment, literal and directive starts and ends.
+_BLOCK_COMMENT = r"/\*[^*]*(?:\*+[^*/][^*]*)*(?:\*+/|\**\Z)"  # unclosed: to the end
+_LINE_COMMENT = r"//[^\n]*"
+# What may come between a line start and a directive's '#': comments do not
+# count as text.
+_DIRECTIVE_AHEAD = rf"(?:[ \t\r\f\v]|{_BLOCK_COMMENT})*#"
+# A directive runs to the end of its line; a backslash-newline continues it.
+_DIRECTIVE = rf"(?:\A|\n){_DIRECTIVE_AHEAD}[^\\\n]*(?:\\\n?[^\\\n]*)*"
+# A literal ends at its closing quote, before a raw newline, or at the end; a
+# backslash escapes the next character, a newline included.
+_LITERAL = (r'"[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?'
+            r"|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?")
+# A ' followed by a word character continues a number (C++14 `1'000`).
+_NUMBER = r"\d[\w.]*(?:'(?=\w)[\w.]*)*"
+# A newline that no directive follows.  The first test is a quick filter; the
+# second matches each comment atomically, so a failed test costs no
+# backtracking through the comment.
+_NEWLINE = (rf"\n(?![ \t\r\f\v]*[#/])"
+            rf"|\n(?!(?:[ \t\r\f\v]|(?=(?P<comment>{_BLOCK_COMMENT}))(?P=comment))*#)")
+
+
+def _tokens(gap, tokens):
+    """A pattern whose matches tile a text: each passes over a gap, text
+    that starts no token, then matches a directive, one of tokens, or the
+    end.
+
+    The gap is one repeat of the alternatives gap, matched atomically: the
+    (?=(...))\\1 idiom never backtracks into it, so a tail without a token
+    costs linear time.  A gap ends before a newline that a directive follows,
+    and is empty at the start of a text that a directive opens.
+    """
+    return re.compile(
+        rf"(?:\A(?={_DIRECTIVE_AHEAD})|(?=((?:{gap})*))\1)(?:{_DIRECTIVE}|{tokens}|\Z)"
+    )
+
+
+# Pre-pass: every brace of a file, past the comments, literals and directives
+# that may hide one.  Its gaps hold words and numbers whole, so a ' after a
+# digit is a separator exactly where _lex finds one: a digit after a word
+# character continues a word or number, any other starts a number.
+_BRACES = _tokens(
+    rf"""[^'"/{{}}\n\d]+|{_NEWLINE}|(?<=\w)\w+|{_NUMBER}|/(?![/*])""",
+    rf"(?P<open>\{{)|(?P<close>\}})|{_LITERAL}|{_LINE_COMMENT}|{_BLOCK_COMMENT}",
+)
+
+# The events of a scope; its gaps are whitespace and comments.
+_EVENTS = _tokens(
+    rf"[ \t\r\f\v]+|{_NEWLINE}|{_LINE_COMMENT}|{_BLOCK_COMMENT}",
+    rf"(?P<word>[^\W\d]\w*)|(?P<num>{_NUMBER})|(?P<str>{_LITERAL})|(?P<brace>\{{)|(?P<sym>.)",
+)
+
+
+def _brace_partners(source):
+    """The pre-pass: {offset of every '{' in source: offset of the '}' that
+    closes it, or -1}."""
+    closes = {}
+    opened = []
+    for m in _BRACES.finditer(source):
+        kind = m.lastgroup
+        if kind == "open":
+            closes[m.end() - 1] = -1
+            opened.append(m.end() - 1)
+        elif kind == "close" and opened:
+            closes[opened.pop()] = m.end() - 1
+    return closes
+
+
+def _lex(source, closes, pos, stop):
+    """Yield (kind, start, end) events of the scope source[pos:stop].
 
     kind is 'word', 'num', 'str', or the symbol character itself.  Comments,
     preprocessor lines (with backslash continuation), and whitespace are
-    skipped; string/char literals collapse to a single 'str' event.
+    skipped; string/char literals collapse to a single 'str' event.  A brace
+    group is its '{' and '}' events, with nothing lexed between them (closes
+    is _brace_partners(source)); an unclosed '{' is the scope's last event.
     """
-    i, n = 0, len(source)
-    bol = True  # only whitespace seen since line start
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            bol = True
-            i += 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            i = source.find("\n", i)
-            i = n if i < 0 else i
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            i = n if end < 0 else end + 2
-            continue
-        if ch == "#" and bol:
-            # Preprocessor directive: consume to end of line, honoring
-            # backslash-newline continuations.
-            i += 1
-            while i < n:
-                if source[i] == "\\" and i + 1 < n and source[i + 1] == "\n":
-                    i += 2
-                elif source[i] == "\n":
-                    break
-                else:
-                    i += 1
-            continue
-        bol = False
-        if ch in "\"'":
-            quote = ch
-            start = i
-            i += 1
-            while i < n:
-                c = source[i]
-                if c == "\\" and i + 1 < n:
-                    i += 2
-                elif c == quote:
-                    i += 1
-                    break
-                elif c == "\n":
-                    # Literals do not span raw newlines; resync here.
-                    break
-                else:
-                    i += 1
-            yield ("str", start, i)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            i += 1
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            yield ("word", start, i)
-            continue
-        if ch.isdigit():
-            start = i
-            i += 1
-            while i < n and (source[i].isalnum() or source[i] in "._" or (
-                    source[i] == "'" and i + 1 < n
-                    and (source[i + 1].isalnum() or source[i + 1] == "_"))):
-                i += 1  # a ' between digits is a C++14 digit separator
-            yield ("num", start, i)
-            continue
-        yield (ch, i, i + 1)
-        i += 1
+    match = _EVENTS.match
+    while pos < stop:
+        m = match(source, pos, stop)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "sym":
+            yield (source[pos - 1], pos - 1, pos)
+        elif kind == "brace":
+            yield ("{", pos - 1, pos)
+            close = closes[pos - 1]
+            if close < 0:
+                return
+            yield ("}", close, close + 1)
+            pos = close + 1
+        elif kind in ("word", "num", "str"):
+            yield (kind, m.start(kind), pos)
+
+
+def _scope(source, closes, start, stop):
+    """(events, partner, reach) of the scope source[start:stop]; the events
+    end with an 'eof' sentinel."""
+    events = list(_lex(source, closes, start, stop))
+    events.append(("eof", stop, stop))
+    partner, reach = _bracket_tables(events)
+    return events, partner, reach
 
 
 def extract_functions(source, project=""):
@@ -205,26 +260,38 @@ def extract_functions(source, project=""):
     """
     if "\0" in source:
         raise ValueError("binary input: source contains NUL bytes")
-    events = list(_lex(source))
-    total = len(events)
-    events.append(("eof", len(source), len(source)))
-    partner, reach = _bracket_tables(events)
+    closes = _brace_partners(source)
+    events, partner, reach = _scope(source, closes, 0, len(source))
+    outer = []  # (events, partner, reach, resume index) of the enclosing scopes
     functions = []
     diagnostics = []
     decl_start = None  # source offset where the current declaration began
-    last_word = None  # identifier immediately preceding the cursor, if any
+    name = None  # name of a definition whose '(' would come next, if any
     k = 0
-    while k < total:
+    while True:
         kind, start, end = events[k]
+        if kind == "eof":
+            if not outer:
+                break
+            events, partner, reach, k = outer.pop()
+            continue
         if decl_start is None:
             decl_start = start
         if kind == "word":
-            last_word = source[start:end]
-        elif kind == "(" and last_word and last_word not in _NOT_FUNCTION_NAMES:
+            name = source[start:end]
+            if name in _NOT_FUNCTION_NAMES:
+                name = None
+            elif name == "operator":
+                first, k = k, _operator_end(events, k)
+                name = None
+                if events[k + 1][0] == "(":
+                    name = _operator_name(source, events[first : k + 1])
+            elif events[k - 1][0] == "~":
+                name = "~" + name
+        elif kind == "(" and name:
             close = partner[k]
-            brace = reach[close + 1] if close >= 0 else total
+            brace = reach[close + 1] if close >= 0 else len(events) - 1
             if events[brace][0] == "{":
-                name = "~" + last_word if events[k - 2][0] == "~" else last_word
                 name, decl_start = _definition_name(
                     source, events, partner, close, brace, name, decl_start)
                 if partner[brace] < 0:
@@ -236,16 +303,51 @@ def extract_functions(source, project=""):
                 body = source[decl_start : events[k][2]]
                 functions.append(FunctionRecord(project, name, body))
                 decl_start = None
-            last_word = None
+            name = None
         elif kind == ":" and events[k + 1][0] == ":":
             k += 1  # '::' scope operator: neither a label nor an access specifier
-        elif kind in (";", "{", "}", ":"):
+        elif kind == "{":
+            # Not a body (namespace, extern "C", class, initializer): lex the
+            # interior as a scope of its own, then resume at the '}'.  A group
+            # that only its '}' and the sentinel follow leaves nothing to
+            # resume, so nested namespaces hold no frames.
+            if k + 3 < len(events):
+                outer.append((events, partner, reach, k + 1))
+            stop = closes[start]
+            events, partner, reach = _scope(
+                source, closes, end, len(source) if stop < 0 else stop)
+            decl_start = name = None
+            k = 0
+            continue
+        elif kind in (";", "}", ":"):
             decl_start = None  # statement/scope boundary
-            last_word = None
+            name = None
         else:
-            last_word = None
+            name = None
         k += 1
     return ExtractionResult(functions, diagnostics)
+
+
+def _operator_end(events, k):
+    """Index of the last event of the operator name that the word `operator`
+    at event k starts: `()`, or else every event up to the next '(' (operator
+    symbols, `[]`, `new`/`delete`, a conversion type).  Without a '(' before
+    the next ';' or brace, the events up to it name nothing and are passed.
+    """
+    if events[k + 1][0] == "(" and events[k + 2][0] == ")":
+        return k + 2
+    j = k + 1
+    while events[j][0] not in _OPERATOR_STOPS:
+        j += 1
+    return j - 1
+
+
+def _operator_name(source, events):
+    """The name that the operator events spell: their text joined without
+    whitespace or comments, so it is one vocabulary token (`operator new []`
+    is `operatornew[]`).  Whitespace inside a literal or a Unicode space
+    lexed as a symbol is dropped too."""
+    return "".join("".join(source[s:e] for _, s, e in events).split())
 
 
 def _bracket_tables(events):

@@ -148,3 +148,25 @@ def test_malformed_header_names_file(tmp_path, header):
     path.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(16))
     with pytest.raises(ValueError, match=r"bad\.ckpt: corrupt checkpoint header"):
         checkpoint.load_checkpoint(path)
+
+
+def test_load_peaks_near_the_file_size(tmp_path):
+    # the header is read first and each array straight into its own buffer,
+    # so no copy of the file's bytes is held beside the arrays
+    path = tmp_path / "big.ckpt"
+    rng = np.random.default_rng(2)
+    checkpoint.save_checkpoint(path, {"kind": "nn"}, {
+        "embedding": rng.normal(size=(50000, 100)), "empty": np.zeros((3, 0)),
+    })
+    size = path.stat().st_size
+    assert size > 40e6
+    tracemalloc.start()
+    try:
+        _, arrays = checkpoint.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * size, (peak, size)
+    assert arrays["embedding"].shape == (50000, 100) and arrays["empty"].shape == (3, 0)
+    np.testing.assert_array_equal(
+        arrays["embedding"], np.random.default_rng(2).normal(size=(50000, 100)))
