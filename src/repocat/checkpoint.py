@@ -27,7 +27,8 @@ _ENTRY_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
 
 
 def save_checkpoint(path, meta, arrays):
-    """Write a checkpoint; arrays is {name: float64 ndarray} (sorted by name)."""
+    """Write a checkpoint; arrays is {name: float ndarray}, each widened
+    exactly to float64 (written sorted by name)."""
     directory = []
     blobs = []
     offset = 0

@@ -437,13 +437,13 @@ def cmd_train_lr(args, cfg):
 def _load_predictor(path):
     """(predict_batch, categories, kind) from either checkpoint flavor, read
     once; predict_batch maps N token lists to (N, C) probabilities.  The
-    network runs in model.TRAIN_DTYPE, the precision `fit` trains it in and
-    picks its epoch by."""
+    network comes from `model.from_checkpoint`, so it predicts in
+    model.TRAIN_DTYPE, the precision `fit` trains it in and picks its
+    epoch by."""
     meta, arrays = checkpoint.load_checkpoint(path)
     kind = meta.get("kind")
     if kind == "nn":
         net, vocab, categories = model.from_checkpoint(meta, arrays, path)
-        net = net.astype(model.TRAIN_DTYPE)
 
         def predict(streams):
             seq_len = net.config.seq_len
@@ -505,7 +505,9 @@ def cmd_explain(args, cfg):
     toks = tokens.variant_tokens(record.tokens, record.descr_tokens, "co")
     ids = tokens.encode(toks, vocab, net.config.seq_len)
     activations = model.conv_activations(net, ids)
-    heat = activations.mean(axis=1)  # one value per window: the heatmap
+    # one value per window, the heatmap; a float64 mean, so each printed
+    # mean is the mean of the printed per-filter values
+    heat = activations.mean(axis=1, dtype=np.float64)
     t_star = int(np.argmax(heat))
     K = net.config.kernel_size
     # window t covers tokens t .. t+K-1; past the function's end they are padding

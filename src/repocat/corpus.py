@@ -79,7 +79,7 @@ SOURCE_EXTENSIONS = {".c", ".h", ".cc", ".cpp", ".cxx", ".hh", ".hpp", ".hxx"}
 # control keywords, then linkage words that may follow a parameter list.
 _NOT_FUNCTION_NAMES = {
     "if", "for", "while", "switch", "return", "do", "else",
-    "sizeof", "catch", "defined",
+    "sizeof", "catch", "defined", "constexpr",
     "throw", "noexcept", "decltype", "alignas", "__attribute__", "__declspec",
 }
 

@@ -1,21 +1,20 @@
 """Function-level classifier: frozen embedding -> conv (stride 1) -> maxpool
 -> LSTM -> dense -> softmax, trained with Adamax at constant BETA1/BETA2/EPSILON.
 
-`fit` trains a TRAIN_DTYPE (float32) working copy of the parameters and
-the embedding table (cast once per `fit`), picks its epoch from a
-TRAIN_DTYPE `predict_proba` on the validation slice, and returns float64
-parameters (the trained values widened exactly) with the caller's float64
-embedding.  The optimizer state (an `Adamax`) belongs to the `fit` call: a
-model holds only parameters, its frozen embedding and its training history.
-Everything else runs in the dtype of `model.params`, which is float64 for
-a fresh, fitted or loaded model.  `eval` casts the loaded model to
-TRAIN_DTYPE with `astype`, so it predicts in the precision the model was
-trained and validated in.  `conv_activations` (`explain`) and
-`gradient_check` stay float64: `explain` prints each window's mean
-activation beside its per-filter values, which a test holds to 1e-12 of
-their mean, and the central differences of the gradient check need
-float64's resolution.  The forward pass casts looked-up rows only when the
-table's dtype differs from the parameters'.
+A network runs in one dtype, that of its parameters: the forward pass
+gathers from `model.table`, the frozen embedding cast once to that dtype
+when the network is made (the embedding itself when it already has it).
+The embedding stays as given, float64 for every network the pipeline
+makes.  `fit` trains a TRAIN_DTYPE (float32) copy of the parameters, picks
+its epoch from a TRAIN_DTYPE `predict_proba` on the validation slice, and
+returns that TRAIN_DTYPE snapshot.  `from_checkpoint` narrows the stored
+float64 parameters to TRAIN_DTYPE, which is exact for a fitted network's,
+so `eval` and `explain` run the precision the network was trained and
+validated in.  The optimizer state (an `Adamax`) belongs to the `fit`
+call: a model holds only parameters, its frozen embedding and table, and
+its training history.  `init_model` returns float64 parameters, and
+`gradient_check` stays float64, since its central differences need
+float64's resolution.
 
 The forward and backward passes run time-major: the lookup gathers each
 conv window's rows from the table straight into the (steps * batch,
@@ -77,12 +76,11 @@ logger = logging.getLogger(__name__)
 # grow with rows.
 PREDICT_ROWS = 32
 
-# Training and `eval` precision.  A batch-128 train step at the stock
-# shapes, on a warm workspace, took 74-79 ms in float32 against 152-158 ms
-# in float64 (best of 9, two processes; 2-CPU Xeon, NumPy 2.4.6, OpenBLAS):
-# the GEMMs run at twice the rate and the elementwise LSTM work moves half
-# the bytes.  `eval` predicts in it too, about twice as fast as in float64;
-# `explain` and `gradient_check` keep float64.
+# The precision of every fitted or loaded network.  A batch-128 train step
+# at the stock shapes, on a warm workspace, took 74-79 ms in float32 against
+# 152-158 ms in float64 (best of 9, two processes; 2-CPU Xeon, NumPy 2.4.6,
+# OpenBLAS): the GEMMs run at twice the rate and the elementwise LSTM work
+# moves half the bytes.  Prediction is about twice as fast as in float64.
 TRAIN_DTYPE = np.float32
 
 # Adamax's decay rates and denominator floor: the Keras defaults.
@@ -154,20 +152,24 @@ class ClassifierConfig:
 
 
 class ClassifierModel:
-    """Parameters + frozen embedding + training history."""
+    """Parameters + frozen embedding + training history.
+
+    `table` is the embedding in the parameters' dtype, the array the
+    forward pass gathers from: the embedding itself when the dtypes agree,
+    else a copy cast here, once per network."""
 
     def __init__(self, config, embedding, params, history=None):
         self.config = config
         self.embedding = embedding
         self.params = params
         self.history = history or {}
+        self.table = embedding.astype(params["conv_w"].dtype, copy=False)
 
     def astype(self, dtype):
-        """Copy whose parameters and embedding table are `dtype`; the
-        history, and an embedding already in `dtype`, are shared."""
+        """Copy whose parameters are `dtype`; the embedding and history are
+        shared."""
         params = {k: v.astype(dtype) for k, v in self.params.items()}
-        embedding = self.embedding.astype(dtype, copy=False)
-        return ClassifierModel(self.config, embedding, params, self.history)
+        return ClassifierModel(self.config, self.embedding, params, self.history)
 
 
 class Adamax:
@@ -282,7 +284,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] != cfg.seq_len:
         raise ValueError(f"ids must be (batch, {cfg.seq_len}), got {ids.shape}")
-    if ids.min() < 0 or ids.max() >= model.embedding.shape[0]:
+    if ids.min() < 0 or ids.max() >= model.table.shape[0]:
         raise ValueError("token id outside embedding table")
     p = model.params
     B = ids.shape[0]
@@ -291,11 +293,11 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
 
     dt = p["conv_w"].dtype
     # the conv windows straight from the table: window row (t, b, k) is the
-    # row of ids[b, t + k], cast to dt on the way in; the ids were checked
-    # above, so mode="clip" clips nothing and spares `take` its buffered copy
+    # row of ids[b, t + k]; the ids were checked above, so mode="clip" clips
+    # nothing and spares `take` its buffered copy
     at = np.arange(T)[:, None] + np.arange(K)  # (T, K)
     win_flat = _buf(ws, "win_flat", (T * B, K * D), dt)
-    np.take(model.embedding, ids.T[at].transpose(0, 2, 1), axis=0,
+    np.take(model.table, ids.T[at].transpose(0, 2, 1), axis=0,
             out=win_flat.reshape(T, B, K, D), mode="clip")
     A = np.matmul(win_flat, p["conv_w"].reshape(K * D, F), out=_buf(ws, "A", (T * B, F), dt))
     A += p["conv_b"]
@@ -521,8 +523,9 @@ def fit(model, examples):
 
     Training runs on a TRAIN_DTYPE copy of the parameters, with Adamax state
     that lives for this call, so `model` itself is left unchanged; the
-    returned parameters are float64.  Raises FloatingPointError when an
-    epoch leaves the validation probabilities non-finite.
+    returned network is TRAIN_DTYPE and shares `model`'s embedding.  Raises
+    FloatingPointError when an epoch leaves the validation probabilities
+    non-finite.
     """
     cfg = model.config
     if not examples:
@@ -591,8 +594,7 @@ def fit(model, examples):
         "best_epoch": best,
         "val_projects": sorted(val_projects),
     }
-    best_model = ClassifierModel(cfg, model.embedding, snapshots[best], history=history)
-    return best_model.astype(np.float64)
+    return ClassifierModel(cfg, model.embedding, snapshots[best], history=history)
 
 
 def gradient_check(config, seed=0, ids=None):
@@ -681,7 +683,9 @@ def _config_from_header(path, header):
 
 def from_checkpoint(meta, arrays, path):
     """(model, vocab, categories) from a loaded nn checkpoint; path names
-    the file in errors.  Takes ownership of arrays."""
+    the file in errors.  Takes ownership of arrays.  The model's parameters
+    are narrowed to TRAIN_DTYPE, exactly for those `fit` wrote; its
+    embedding stays float64, as stored."""
     if meta.get("kind") != "nn":
         raise ValueError(f"{path}: checkpoint kind {meta.get('kind')!r}, expected 'nn'")
     checkpoint.require_meta(path, meta, ("config", "vocab_tokens", "categories"))
@@ -693,7 +697,8 @@ def from_checkpoint(meta, arrays, path):
         "embedding": (len(vocab), config.embed_dims), **param_shapes(config),
     })
     embedding = arrays.pop("embedding")
-    model = ClassifierModel(config, embedding, arrays, history=meta.get("history"))
+    params = {name: arrays.pop(name).astype(TRAIN_DTYPE) for name in PARAM_NAMES}
+    model = ClassifierModel(config, embedding, params, history=meta.get("history"))
     return model, vocab, meta["categories"]
 
 

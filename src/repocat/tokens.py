@@ -42,10 +42,13 @@ def build_representation(record):
     """co token sequence for one extracted function: [project name, function
     name] + tokens(body).
 
-    record needs project_name / function_name / body attributes (see
+    The project name is one token: lowercased, with its whitespace-separated
+    parts joined by "_", so that the embedding text file, which separates
+    columns by whitespace, holds it as one column.  record needs
+    project_name / function_name / body attributes (see
     corpus.FunctionRecord).  variant_tokens turns it into the cd sequence.
     """
-    tokens = [record.project_name.lower(), record.function_name.lower()]
+    tokens = ["_".join(record.project_name.lower().split()), record.function_name.lower()]
     tokens.extend(tokenize(record.body))
     return tokens
 

@@ -141,14 +141,14 @@ def test_eval_predicts_in_the_training_dtype(pipeline):
     want = model.predict_proba(net.astype(model.TRAIN_DTYPE), ids)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     # the float64 forward of the same checkpoint agrees to float32 rounding
-    wide = model.predict_proba(net, ids)
+    wide = model.predict_proba(net.astype(np.float64), ids)
     assert np.abs(got - wide).max() < 1e-5
     np.testing.assert_array_equal(got.argmax(axis=1), wide.argmax(axis=1))
 
 
 def test_scipy_is_loaded_only_where_training_runs(pipeline):
     # importing scipy.sparse costs about 0.26 s and 22 MB of RSS: the CLI module,
-    # and eval of either checkpoint kind (nn through its TRAIN_DTYPE cast),
+    # and eval of either checkpoint kind (nn in TRAIN_DTYPE, as loaded),
     # never load it
     script = (
         "import sys\n"

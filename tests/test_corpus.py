@@ -593,6 +593,10 @@ class TestDefinitionNames:
         assert embedding.vocab_from_embedding_text(path).tokens() == vocab.tokens()
         assert np.array_equal(embedding.load_embedding_text(path, vocab), matrix)
 
+    def test_if_constexpr_is_no_definition(self):
+        # a namespace's interior is a scope the forward loop walks into
+        assert _names("namespace n { if constexpr (x) { y(); } }") == []
+
     def test_operator_body_starts_at_its_declaration(self):
         src = "struct A {\n  bool operator<(const A& o) const { return k < o.k; }\n};"
         fns = corpus.extract_functions(src).functions

@@ -572,17 +572,18 @@ class TestTrainingPrecision:
         for store in (m32.params, opt.m, opt.u):
             assert {v.dtype for v in store.values()} == {np.dtype(np.float32)}
 
-    def test_fit_returns_float64_widened_from_training_dtype(self):
+    def test_fit_returns_a_training_dtype_network(self):
         cfg = tiny_config(num_categories=2, epochs=2, batch_size=16, seed=4)
         m = make_model(cfg, seed=4)
         before = {n: v.copy() for n, v in m.params.items()}
         best = M.fit(m, synthetic_examples(cfg, seed=4))
         assert best.embedding is m.embedding
         assert best.embedding.dtype == np.float64
+        assert best.table.dtype == M.TRAIN_DTYPE
+        np.testing.assert_array_equal(best.table, m.embedding.astype(M.TRAIN_DTYPE))
         for n in M.PARAM_NAMES:
-            got = best.params[n]
-            assert got.dtype == np.float64, n
-            np.testing.assert_array_equal(got.astype(M.TRAIN_DTYPE).astype(np.float64), got)
+            assert best.params[n].dtype == M.TRAIN_DTYPE, n
+            assert m.params[n].dtype == np.float64, n
             np.testing.assert_array_equal(m.params[n], before[n])  # caller's copy untouched
 
 
@@ -624,7 +625,7 @@ class TestModelIO:
         assert meta["kind"] == "nn"
         ids = np.random.default_rng(2).integers(0, 12, size=(5, cfg.seq_len))
         np.testing.assert_array_equal(
-            M.predict_proba(m, ids), M.predict_proba(loaded, ids)
+            M.predict_proba(m.astype(M.TRAIN_DTYPE), ids), M.predict_proba(loaded, ids)
         )
 
     def test_vocab_hash_guard(self, tmp_path):
@@ -660,7 +661,7 @@ class TestModelIO:
         assert loaded_meta["config"]["optimizer"] == "adamax"
         ids = np.random.default_rng(2).integers(0, 12, size=(5, cfg.seq_len))
         np.testing.assert_array_equal(
-            M.predict_proba(m, ids), M.predict_proba(loaded, ids)
+            M.predict_proba(m.astype(M.TRAIN_DTYPE), ids), M.predict_proba(loaded, ids)
         )
         meta["config"]["optimizer"] = "sgd"
         C.save_checkpoint(path, meta, arrays)
@@ -685,7 +686,7 @@ class TestModelIO:
         assert loaded.config == cfg
         ids = np.random.default_rng(2).integers(0, 12, size=(5, cfg.seq_len))
         np.testing.assert_array_equal(
-            M.predict_proba(m, ids), M.predict_proba(loaded, ids)
+            M.predict_proba(m.astype(M.TRAIN_DTYPE), ids), M.predict_proba(loaded, ids)
         )
         for key, value in (("strides", 2), ("beta1", 0.5)):
             C.save_checkpoint(path, {**meta, "config": {**meta["config"], key: value}}, arrays)
@@ -709,6 +710,27 @@ class TestModelIO:
         C.save_checkpoint(path, meta, arrays)
         with pytest.raises(ValueError, match=r"model\.ckpt: .*" + message):
             M.load_model(path)
+
+    def test_load_returns_a_training_dtype_network(self, tmp_path):
+        # the checkpoint stores float64; the loaded network runs in
+        # TRAIN_DTYPE, and a fitted network's parameters come back exactly
+        from repocat import checkpoint as C
+        from repocat import tokens as T
+
+        m = make_model(tiny_config(), seed=8).astype(M.TRAIN_DTYPE)
+        vocab = T.build_vocabulary([[f"tok{i}" for i in range(10)]])
+        path = tmp_path / "model.ckpt"
+        M.save_model(path, m, vocab, ["a", "b", "c"])
+        _, stored = C.load_checkpoint(path)
+        loaded, _, _, _ = M.load_model(path)
+        assert loaded.embedding.dtype == np.float64
+        np.testing.assert_array_equal(loaded.embedding, stored["embedding"])
+        assert loaded.table.dtype == M.TRAIN_DTYPE
+        np.testing.assert_array_equal(loaded.table, m.table)
+        for n in M.PARAM_NAMES:
+            assert stored[n].dtype == np.float64, n
+            assert loaded.params[n].dtype == M.TRAIN_DTYPE, n
+            np.testing.assert_array_equal(loaded.params[n], m.params[n])
 
     def test_wrong_kind_rejected(self, tmp_path):
         from repocat import checkpoint as C

@@ -56,6 +56,20 @@ class TestRepresentation:
         assert rep[:2] == ["soundmixer", "p_f"]
         assert rep[2:] == ["int", "p_f", "void", "return", "g_vol"]
 
+    def test_spaced_project_name_survives_the_embedding_text_file(self, tmp_path):
+        # the name is one token, so it is one column of the file's row
+        from repocat import corpus, embedding
+
+        src = "int f(void) { return 0; }"
+        fns = corpus.extract_functions(src, project="My  Sound\tMixer").functions
+        assert tokens.build_representation(fns[0])[:2] == ["my_sound_mixer", "f"]
+        vocab = tokens.build_vocabulary([tokens.build_representation(f) for f in fns])
+        path = tmp_path / "vectors.txt"
+        matrix = embedding.random_embedding(len(vocab), dims=3)
+        embedding.save_embedding_text(path, matrix, vocab)
+        assert embedding.vocab_from_embedding_text(path).tokens() == vocab.tokens()
+        assert np.array_equal(embedding.load_embedding_text(path, vocab), matrix)
+
     def test_cd_appends_delimited_description(self):
         co = tokens.build_representation(self.record)
         descr = tokens.tokenize("A sound mixer.")
