@@ -70,15 +70,12 @@ class BowVocabulary:
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
         counts = Counter()
-        first_seen = {}
         for stream in token_streams:
-            for token in stream:
-                counts[token] += 1
-                if token not in first_seen:
-                    first_seen[token] = len(first_seen)
+            counts.update(stream)
         if not counts:
             raise ValueError("empty corpus: no tokens for the bag-of-words vocabulary")
-        ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+        # a Counter iterates in first-seen order, and sorted is stable
+        ranked = sorted(counts, key=lambda t: -counts[t])
         return cls(ranked[:size])
 
 

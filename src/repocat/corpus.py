@@ -18,40 +18,40 @@ character continues a number (the C++14 digit separator `1'000`), so
 `u8'}'` and `x1'}'` are char literals.
 
 Per scope, one right-to-left pass over the events builds two tables:
-`partner`, the matching ')' or '}' of every '(' and '{', and `reach`, where a
-linkage starting at each event ends.  A linkage is what may sit between a
+`partner`, the matching ')' of every '(', and `reach`, where a linkage
+starting at each event ends.  A linkage is what may sit between a
 parameter list and its body: words, numbers, literals, the symbols of
 `_LINKAGE` and balanced (...) groups of these.  Parentheses pair only within
 one scope, so a ')' inside a brace group never closes a '(' outside it.
 Where brackets do not cross, this pairs them as one scan of the whole file
 would; where they cross, it can differ (`void f ( ( { ) } ) { }` gives no
-function).
+function).  Braces need no table: a closed '{' event is followed by its '}'.
 
 A definition is `word (params) linkage { body }` where the word is not a
 control keyword or linkage word, the braces in the params balance, and the
-linkage reaches a '{'.  The end of the params, the linkage check and the end
-of the body are each one table lookup.  One forward loop takes the
-definitions in order and jumps over each body, so local blocks are never
-lexed and never spawn candidates.  A '{' that the loop walks into instead
-(a namespace, extern "C", a class body, an initializer) has its interior
-lexed as a scope of its own, so functions inside it are found.  Scopes wait
-on an explicit stack, not in recursion, and no text is lexed twice, so
-extraction runs in linear time.  A body runs from the start of its
-declaration through the closing brace.
+linkage reaches a '{'.  The end of the params and the linkage check are
+each one table lookup.  One forward loop takes the definitions in order and
+jumps over each body, so local blocks are never lexed and never spawn
+candidates.  A '{' that the loop walks into instead (a namespace, extern
+"C", a class body, an initializer) has its interior lexed as a scope of its
+own, so functions inside it are found.  Scopes wait on an explicit stack,
+not in recursion, and no text is lexed twice, so extraction runs in linear
+time.  A body runs from the start of its declaration through the '}'.
 
-Naming: the word before the '(' names the function, and a '~' right before
-that word joins the name (`Foo::~Foo() {...}` is `~Foo`).  The word
-`operator` names it together with what follows up to the '(': operator
-symbols, `()`, `[]`, `new`/`delete` or a conversion type, their text joined
-without whitespace or comments so that every name is one token
-(`bool operator==(...) {...}` is `operator==`, `operator bool() {...}` is
-`operatorbool`).  A `word(...)` group later in the linkage, before any
-single ':' (a ctor initializer list), names the function instead when a
-return type separates it from the previous group's ')'.  The groups before
-it were X-macro rows (`X(a, 1) X(b, 2) int f(void) {...}` is `f`), and the
-body starts after them.  A group right after a ')', or after qualifiers such
-as `const`, is an attribute macro and does not rename
-(`int foo(int a) MY_ATTR(x) {...}` is `foo`).
+Naming is the forward loop's alone: the word before the '(' names the
+function, and a '~' right before that word joins the name
+(`Foo::~Foo() {...}` is `~Foo`).  The word `operator` names it together
+with what follows up to the '(': operator symbols, `()`, `[]`,
+`new`/`delete` or a conversion type, their text joined without whitespace
+or comments so that every name is one token (`bool operator==(...) {...}`
+is `operator==`, `operator bool() {...}` is `operatorbool`); an `operator`
+that a ')' follows first, as in macro arguments, names nothing.  A
+`word(...)` group later in the linkage, before any single ':' (a ctor
+initializer list), is the definition instead when a return type separates
+its word from the previous group's ')'.  The groups before it were X-macro
+rows (`X(a, 1) X(b, 2) int f(void) {...}` is `f`); the loop resumes after
+them.  A group right after a ')', or after qualifiers such as `const`, is
+an attribute macro (`int foo(int a) MY_ATTR(x) {...}` is `foo`).
 
 K&R definitions (`int k(a, b) int a; { ... }`) are not extracted: the ';'
 ends the linkage.
@@ -94,7 +94,7 @@ _QUALIFIERS = {"const", "volatile", "noexcept", "override", "final"}
 _LINKAGE = {"word", "num", "str", "*", "&", ":", ",", "<", ">", "-", "."}
 
 # Events that end the name after the word `operator`.
-_OPERATOR_STOPS = {"(", ";", "{", "}", "eof"}
+_OPERATOR_STOPS = {"(", ")", ";", "{", "}", "eof"}
 
 
 @dataclass
@@ -292,14 +292,17 @@ def extract_functions(source, project=""):
             close = partner[k]
             brace = reach[close + 1] if close >= 0 else len(events) - 1
             if events[brace][0] == "{":
-                name, decl_start = _definition_name(
-                    source, events, partner, close, brace, name, decl_start)
-                if partner[brace] < 0:
+                rows_end = _xmacro_rows_end(source, events, partner, close, brace)
+                if rows_end is not None:
+                    decl_start = name = None
+                    k = rows_end  # name the definition after the X-macro rows
+                    continue
+                if events[brace + 1][0] != "}":
                     diagnostics.append(
                         f"unbalanced braces at end of file: dropped partial function '{name}'"
                     )
                     break
-                k = partner[brace]
+                k = brace + 1
                 body = source[decl_start : events[k][2]]
                 functions.append(FunctionRecord(project, name, body))
                 decl_start = None
@@ -353,15 +356,14 @@ def _operator_name(source, events):
 def _bracket_tables(events):
     """(partner, reach) for events, which end with an 'eof' sentinel.
 
-    partner[i] is the index of the ')' or '}' matching the '(' or '{' at i,
-    or -1; parentheses and braces pair independently of each other, and a
-    '(' whose group holds unbalanced braces gets -1, as no parameter list
-    does.  reach[i] is where a linkage starting at i ends: on the '{' it
-    opens, or on the first event that cannot sit in a linkage.
+    partner[i] is the index of the ')' matching the '(' at i, or -1, as for
+    a '(' whose group holds a stray '}' (no parameter list does).  reach[i]
+    is where a linkage starting at i ends: on the '{' it opens, or on the
+    first event that cannot sit in a linkage.
     """
     partner = [-1] * len(events)
     reach = list(range(len(events)))
-    parens, braces = [], []
+    parens = []
     depth = 0  # '}' minus '{' events after i
     for i in range(len(events) - 2, -1, -1):
         kind = events[i][0]
@@ -370,12 +372,9 @@ def _bracket_tables(events):
         elif kind == ")":
             parens.append((i, depth))
         elif kind == "}":
-            braces.append(i)
             depth += 1
         elif kind == "{":
             depth -= 1
-            if braces:
-                partner[i] = braces.pop()
         elif kind == "(" and parens:
             close, close_depth = parens.pop()
             if close_depth == depth:
@@ -385,16 +384,17 @@ def _bracket_tables(events):
     return partner, reach
 
 
-def _definition_name(source, events, partner, close, brace, name, decl_start):
-    """(name, body start) of a definition whose parameter list ends at event
-    close and whose body opens at event brace.
+def _xmacro_rows_end(source, events, partner, close, brace):
+    """Index of the event where the declaration after X-macro rows starts,
+    or None when the definition whose parameter list ends at event close,
+    and whose body opens at event brace, follows no rows.
 
-    A later `word(...)` group in the linkage, before any single ':', names
-    the function instead when a return type (an event other than a
-    _QUALIFIERS word) separates its word from the previous group's ')': the
-    groups before it were X-macro rows, and the body starts after them.
-    Otherwise the group is an attribute macro.
+    A later `word(...)` group in the linkage, before any single ':', is the
+    definition when a return type (an event other than a _QUALIFIERS word)
+    separates its word from the previous group's ')': the groups before it
+    were X-macro rows.  Otherwise the group is an attribute macro.
     """
+    rows_end = None
     prev = close
     k = close + 1
     while k < brace:
@@ -408,10 +408,10 @@ def _definition_name(source, events, partner, close, brace, name, decl_start):
             word = source[word_start:word_end]
             typed = any(source[s:e] not in _QUALIFIERS for _, s, e in events[prev + 1 : k - 1])
             if word_kind == "word" and typed and word not in _NOT_FUNCTION_NAMES:
-                name, decl_start = word, events[prev + 1][1]
+                rows_end = prev + 1
             prev = k = partner[k]
         k += 1
-    return name, decl_start
+    return rows_end
 
 
 def extract_file(path, project=""):

@@ -80,9 +80,6 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self._ids
 
-    def __eq__(self, other):
-        return isinstance(other, Vocabulary) and other._tokens == self._tokens
-
     def id_of(self, token):
         """Id for token, UNK_ID when unseen."""
         return self._ids.get(token, UNK_ID)

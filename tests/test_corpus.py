@@ -116,7 +116,7 @@ def reference_bracket_tables(events):
 def reference_extract(source):
     """(name, body) pairs and diagnostics from one forward loop over the
     events of the whole file: extraction before the brace pre-pass.  It
-    shares only the naming rule for X-macro rows (corpus._definition_name)
+    shares only the rule for where X-macro rows end (corpus._xmacro_rows_end)
     with the program, and does not name operators."""
     events = list(reference_lex(source))
     total = len(events)
@@ -135,9 +135,12 @@ def reference_extract(source):
             close = partner[k]
             brace = reach[close + 1] if close >= 0 else total
             if events[brace][0] == "{":
+                rows_end = corpus._xmacro_rows_end(source, events, partner, close, brace)
+                if rows_end is not None:
+                    decl_start = last_word = None
+                    k = rows_end
+                    continue
                 name = "~" + last_word if events[k - 2][0] == "~" else last_word
-                name, decl_start = corpus._definition_name(
-                    source, events, partner, close, brace, name, decl_start)
                 if partner[brace] < 0:
                     diagnostics.append(
                         f"unbalanced braces at end of file: dropped partial function '{name}'"
@@ -578,6 +581,10 @@ class TestDefinitionNames:
         ("bool operator==(const A& o) const;\nint f(void) { return 0; }", ["f"]),
         ("A& operator=(const A&);", []),
         ("x = a.operator+(b);", []),
+        # an `operator` in macro arguments names nothing
+        ("DEFINE_OP(operator+=, plus)\nDEFINE_INC(operator++, inc) { return 0; }",
+         ["DEFINE_INC"]),
+        ("operator std::map<int, int>() const { return m; }", ["operatorstd::map<int,int>"]),
     ])
     def test_operator_definitions_are_named(self, src, names):
         assert _names(src) == names
@@ -596,6 +603,16 @@ class TestDefinitionNames:
     def test_if_constexpr_is_no_definition(self):
         # a namespace's interior is a scope the forward loop walks into
         assert _names("namespace n { if constexpr (x) { y(); } }") == []
+
+    @pytest.mark.parametrize("src, function", [
+        ("X(a) operator bool() const { return 1; }",
+         ("operatorbool", "operator bool() const { return 1; }")),
+        ("X(a) int operator()(int x) const { return x; }",
+         ("operator()", "int operator()(int x) const { return x; }")),
+    ])
+    def test_operators_after_xmacro_rows_are_named(self, src, function):
+        fns = corpus.extract_functions(src).functions
+        assert [(f.function_name, f.body) for f in fns] == [function]
 
     def test_operator_body_starts_at_its_declaration(self):
         src = "struct A {\n  bool operator<(const A& o) const { return k < o.k; }\n};"
@@ -641,6 +658,13 @@ def test_extraction_is_linear_on_unclosed_braces():
     assert _timed_names("{ " * 100000) == []
 
 
+def test_extraction_is_linear_after_a_long_xmacro_table():
+    # the loop resumes after the rows once, so each row is walked a bounded
+    # number of times
+    rows = "".join(f"X(x{i}, {i})\n" for i in range(50000))
+    assert _timed_names(rows + "int f(void){ return 0; }") == ["f"]
+
+
 def test_extraction_is_linear_on_one_line_bodies():
     source = "".join(f"int f{i}(void) {{ return {i}; }}\n" for i in range(20000))
     assert _timed_names(source) == [f"f{i}" for i in range(20000)]
@@ -674,6 +698,7 @@ def test_seeded_fuzz_never_crashes_and_bodies_are_sound():
             cursor = at + len(fn.body)
             assert spells(fn.body, fn.function_name), source
             assert not re.search(r"\s", fn.function_name), source
+            assert ")" not in fn.function_name or fn.function_name == "operator()", source
 
 
 # The reference does not name `operator` definitions.

@@ -343,7 +343,7 @@ class TestEmbeddingTextIO:
         path = tmp_path / "emb.txt"
         embedding.save_embedding_text(path, matrix, vocab, meta={"k": "v"})
         recovered = embedding.vocab_from_embedding_text(path)
-        assert recovered == vocab
+        assert recovered.tokens() == vocab.tokens()
 
     def test_missing_tokens_zero_extras_ignored(self, tmp_path):
         vocab = self._vocab()
