@@ -229,16 +229,18 @@ def cmd_extract(args, cfg):
     projects = corpus.load_repository(args.root, labels, descriptions)
     if not projects:
         raise ValueError(f"no projects with extractable functions under {args.root}")
-    records = [rec for proj in projects for rec in corpus.project_token_records(proj)]
+    # one project's token lists at a time: each is written as it is made
+    records = (rec for proj in projects for rec in corpus.project_token_records(proj))
     meta = _artifact_meta(cfg, "extract", root=args.root, labels=args.labels)
     corpus.write_token_dataset(args.output, records, meta=meta)
+    n_functions = sum(len(proj.functions) for proj in projects)
     result = {
         "written": args.output,
         "projects": len(projects),
-        "functions": len(records),
+        "functions": n_functions,
     }
     return result, [
-        f"wrote {args.output}: {len(records)} functions from {len(projects)} projects"
+        f"wrote {args.output}: {n_functions} functions from {len(projects)} projects"
     ]
 
 
@@ -439,16 +441,18 @@ def _load_predictor(path):
     once; predict_batch maps N token lists to (N, C) probabilities.  The
     network comes from `model.from_checkpoint`, so it predicts in
     model.TRAIN_DTYPE, the precision `fit` trains it in and picks its
-    epoch by."""
+    epoch by, and runs every call's forward passes in one workspace
+    (`model._buf`), so calls must not overlap."""
     meta, arrays = checkpoint.load_checkpoint(path)
     kind = meta.get("kind")
     if kind == "nn":
         net, vocab, categories = model.from_checkpoint(meta, arrays, path)
+        ws = {}  # every call's forward passes reuse these activations
 
         def predict(streams):
             seq_len = net.config.seq_len
             ids = np.stack([tokens.encode(toks, vocab, seq_len) for toks in streams])
-            return model.predict_proba(net, ids)
+            return model.predict_proba(net, ids, ws=ws)
 
         return predict, categories, kind
     if kind == "lr":

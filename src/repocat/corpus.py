@@ -60,6 +60,7 @@ Splits are project-disjoint: whole projects are held out per category, and
 the training side is balanced by undersampling functions per category.
 """
 
+import contextlib
 import logging
 import os
 import re
@@ -553,34 +554,42 @@ def write_token_dataset(path, records, meta=None):
     fileio.write_jsonl(path, rows, meta=meta)
 
 
-def _token_list(path, row, field):
-    """row[field] (default []) after checking it is a list of strings."""
+def _token_list(path, row, field, memo):
+    """row[field] (default []) after checking it is a list of strings, each
+    string swapped for memo's equal one (memo takes those it lacks)."""
     value = row.get(field, [])
     if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise ValueError(f"{path}: dataset record field {field!r} must be a list of strings")
-    return value
+    return list(map(memo.setdefault, value, value))
 
 
 def read_token_dataset(path):
-    """Returns (list of FunctionTokens, meta)."""
-    rows, meta = fileio.read_jsonl(path)
+    """Returns (list of FunctionTokens, meta).
+
+    Parses one line at a time, and equal tokens of all records share one
+    `str`: a holdout repeats a few thousand distinct tokens hundreds of
+    thousands of times."""
+    memo = {}
     records = []
-    for row in rows:
-        missing = {"project", "function", "category", "tokens"} - set(row)
-        if missing:
-            raise ValueError(f"{path}: dataset record missing fields {sorted(missing)}")
-        for field in ("project", "function", "category"):
-            if not isinstance(row[field], str):
-                raise ValueError(f"{path}: dataset record field {field!r} must be a string")
-        records.append(
-            FunctionTokens(
-                project=row["project"],
-                function=row["function"],
-                category=row["category"],
-                tokens=_token_list(path, row, "tokens"),
-                descr_tokens=_token_list(path, row, "descr_tokens"),
+    # closing: a bad record ends the read with the file closed at once
+    with contextlib.closing(fileio.iter_jsonl(path)) as rows:
+        meta = next(rows)
+        for row in rows:
+            missing = {"project", "function", "category", "tokens"} - set(row)
+            if missing:
+                raise ValueError(f"{path}: dataset record missing fields {sorted(missing)}")
+            for field in ("project", "function", "category"):
+                if not isinstance(row[field], str):
+                    raise ValueError(f"{path}: dataset record field {field!r} must be a string")
+            records.append(
+                FunctionTokens(
+                    project=row["project"],
+                    function=row["function"],
+                    category=row["category"],
+                    tokens=_token_list(path, row, "tokens", memo),
+                    descr_tokens=_token_list(path, row, "descr_tokens", memo),
+                )
             )
-        )
     return records, meta
 
 

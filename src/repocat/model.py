@@ -26,16 +26,20 @@ columns (exact in binary), so one tanh per step covers all four gates.
 
 `fit` hands every train step one workspace: a dict in which `_buf` keeps
 the large activations and gradients (the conv windows, the conv, pool,
-mask, gate and LSTM state arrays, and the gate gradient) and returns them
-to the next step of the same shape and dtype, which writes them in place.
-The backward pass writes the pool gradient into the pool activations'
-buffer `P` and the conv gradient into the conv activations' buffer `A`,
-since neither activation is read again.  A step on a warm workspace
-allocates no multi-MB array, so it does not page-fault in memory that the
-allocator gave back to the kernel after the step before.  An array from a
+mask, gate and LSTM state arrays, the gate gradient and the parameter
+gradients) and returns them to the next step, which writes them in place.
+Each is one flat array that only grows, so a smaller batch or a
+validation pass runs in the leading part of the memory a full batch
+left.  The backward pass writes the pool gradient into the pool
+activations' buffer `P` and the conv gradient into the conv activations'
+buffer `A`, since neither activation is read again.  A step on a warm
+workspace allocates no multi-MB array, so it does not page-fault in
+memory that the allocator gave back to the kernel after the step before.
+`predict_proba` takes a workspace too: `fit`'s validation passes use the
+training one, and `eval` holds one for all its calls.  An array from a
 workspace, and so a cache that holds one, is valid only until the next
-call with the same workspace.  Inference, `conv_activations` and
-`gradient_check` pass no workspace and allocate each array afresh.
+call with the same workspace.  `conv_activations` and `gradient_check`
+pass no workspace and allocate each array afresh.
 
 Architecture at defaults (seq_len 60, kernel 3, pool 2), shapes
 per sequence:
@@ -59,6 +63,7 @@ inverted (scaling at train time), so inference needs no rescaling.
 """
 
 import logging
+import math
 from dataclasses import InitVar, asdict, dataclass, fields
 
 import numpy as np
@@ -254,18 +259,22 @@ def softmax(logits):
 def _buf(ws, name, shape, dtype):
     """An uninitialized `shape` x `dtype` array for `name`.
 
-    A workspace `ws` is a dict that caches one array per name: the array it
-    holds is returned when its shape and dtype match, and a new one replaces
-    it otherwise.  So an array taken from a workspace is valid only until
-    the next call that uses the same workspace.  Without a workspace
-    (`ws` None) this is `np.empty`, and nothing holds the array.
+    A workspace `ws` is a dict that keeps one flat array per name, and
+    returns its leading part reshaped to `shape`.  The flat array only
+    grows: a new one replaces it when the dtype differs or it is too small,
+    so a smaller shape (the last batch of an epoch, a validation pass) is
+    served from the memory a larger one left.  An array taken from a
+    workspace is valid only until the next call that uses the same
+    workspace.  Without a workspace (`ws` None) this is `np.empty`, and
+    nothing holds the array.
     """
     if ws is None:
         return np.empty(shape, dtype)
+    size = math.prod(shape)
     arr = ws.get(name)
-    if arr is None or arr.shape != shape or arr.dtype != dtype:
-        arr = ws[name] = np.empty(shape, dtype)
-    return arr
+    if arr is None or arr.dtype != dtype or arr.size < size:
+        arr = ws[name] = np.empty(size, dtype)
+    return arr[:size].reshape(shape)
 
 
 def _forward(model, ids, rng=None, want_cache=False, ws=None):
@@ -390,25 +399,27 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
 def _backward(model, cache, onehot, ws=None):
     """Gradients of mean cross-entropy w.r.t. all trainable parameters.
 
-    The gate gradient is taken from the workspace `ws` (see `_buf`); the
-    pool and conv gradients overwrite the cache's `P` and `A`."""
+    The gate gradient and the returned parameter gradients are taken from
+    the workspace `ws` (see `_buf`); the pool and conv gradients overwrite
+    the cache's `P` and `A`."""
     cfg = model.config
     p = model.params
     dt = p["conv_w"].dtype
     B = onehot.shape[0]
-    K, F, U = cfg.kernel_size, cfg.filters, cfg.lstm_units
+    F, U = cfg.filters, cfg.lstm_units
     T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
 
     dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / B
-    grads = {}
-    grads["out_w"] = cache["Hd"].T @ dlogits
-    grads["out_b"] = dlogits.sum(axis=0)
+    grads = {name: _buf(ws, "d" + name, shape, dt)
+             for name, shape in param_shapes(cfg).items()}
+    np.matmul(cache["Hd"].T, dlogits, out=grads["out_w"])
+    np.sum(dlogits, axis=0, out=grads["out_b"])
     dHd = dlogits @ p["out_w"].T
     dH = dHd * cache["mask"] if cache["mask"] is not None else dHd
     dhid_pre = dH * (cache["hid_pre"] > 0.0)
     H, C, G, TC = cache["H"], cache["C"], cache["G"], cache["TC"]
-    grads["hid_w"] = H[T2].T @ dhid_pre
-    grads["hid_b"] = dhid_pre.sum(axis=0)
+    np.matmul(H[T2].T, dhid_pre, out=grads["hid_w"])
+    np.sum(dhid_pre, axis=0, out=grads["hid_b"])
 
     # the loop only carries dh/dc back through time; it writes each step's
     # gate-input gradient into dG, and the weight gradients are one matmul
@@ -430,9 +441,9 @@ def _backward(model, cache, onehot, ws=None):
         dc *= gf
     dG = dG.reshape(T2 * B, 4 * U)
     P = cache["P"]
-    grads["lstm_wx"] = P.reshape(T2 * B, F).T @ dG
-    grads["lstm_wh"] = H[:T2].reshape(T2 * B, U).T @ dG
-    grads["lstm_b"] = dG.sum(axis=0)
+    np.matmul(P.reshape(T2 * B, F).T, dG, out=grads["lstm_wx"])
+    np.matmul(H[:T2].reshape(T2 * B, U).T, dG, out=grads["lstm_wh"])
+    np.sum(dG, axis=0, out=grads["lstm_b"])
     # ReLU: the position a window picked holds A == P, so A > 0 there
     # exactly when P > 0
     relu = _buf(ws, "relu", (T2, B, F), bool)
@@ -449,8 +460,8 @@ def _backward(model, cache, onehot, ws=None):
         np.multiply(dP, cache["pool_mask"][k], out=dZ[k : T2 * PS : PS])
     dZ[T2 * PS :] = 0.0
     dZ_flat = dZ.reshape(T * B, F)
-    grads["conv_w"] = (cache["win_flat"].T @ dZ_flat).reshape(K, cfg.embed_dims, F)
-    grads["conv_b"] = dZ_flat.sum(axis=0)
+    np.matmul(cache["win_flat"].T, dZ_flat, out=grads["conv_w"].reshape(-1, F))
+    np.sum(dZ_flat, axis=0, out=grads["conv_b"])
     return grads
 
 
@@ -478,13 +489,18 @@ def train_step(model, opt, ids, onehot, rng, ws=None):
     return loss
 
 
-def predict_proba(model, ids):
+def predict_proba(model, ids, ws=None):
     """Probabilities for (N, seq_len) ids, PREDICT_ROWS rows per forward
-    pass; returns (N, C)."""
+    pass; returns (N, C).
+
+    `ws` is a workspace dict (see `_buf`) for the passes' activations:
+    passing the same one to every call reuses them, as training does, so a
+    warm call allocates no multi-MB array.  The probabilities do not depend
+    on it."""
     ids = np.asarray(ids)
     out = np.empty((ids.shape[0], model.config.num_categories))
     for lo in range(0, ids.shape[0], PREDICT_ROWS):
-        probs, _ = _forward(model, ids[lo : lo + PREDICT_ROWS])
+        probs, _ = _forward(model, ids[lo : lo + PREDICT_ROWS], ws=ws)
         out[lo : lo + probs.shape[0]] = probs
     return out
 
@@ -566,7 +582,9 @@ def fit(model, examples):
 
     work = model.astype(TRAIN_DTYPE)
     opt = Adamax(cfg, work.params)
-    ws = {}  # the train steps' activations and gradients, reused step to step
+    # the train steps' activations and gradients, reused step to step and
+    # by the validation passes
+    ws = {}
     snapshots = []
     val_accuracies = []
     epoch_losses = []
@@ -576,7 +594,7 @@ def fit(model, examples):
         for lo in range(0, len(perm), cfg.batch_size):
             sel = perm[lo : lo + cfg.batch_size]
             losses.append(train_step(work, opt, X[sel], Y[sel], rng, ws=ws))
-        probs = predict_proba(work, Xv)
+        probs = predict_proba(work, Xv, ws=ws)
         if not np.isfinite(probs).all():
             raise FloatingPointError(f"training diverged in epoch {epoch + 1}: "
                                      "non-finite validation probabilities")
