@@ -144,8 +144,14 @@ def build_cooccurrence(sentences, config):
     For each offset j the tokens of all sentences, laid end to end, are
     paired with the tokens j places to their left; pairs that stay inside
     one sentence are encoded as target * base + context and counted with
-    np.unique.  Summing the offsets' weights per key gives the entries
-    already in sorted (target, context) order.
+    np.unique.  The offsets' weights are summed into a running table of
+    distinct keys, sorted, so the entries come out in (target, context)
+    order.  The offsets wait in a pending list until they hold as many keys
+    as the table; then one np.unique over the table and the pending keys,
+    and one np.bincount with the table's values first, merge them.  Memory
+    follows the distinct pairs, not the pair occurrences, and since
+    bincount adds in array order, every count is summed over offsets
+    1, 2, ... in turn, as one merge at the end would sum it.
     """
     config.validate()
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
@@ -156,17 +162,29 @@ def build_cooccurrence(sentences, config):
         raise ValueError("token ids must be non-negative")
     base = int(tokens.max(initial=0)) + 1
     pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    keys = [np.zeros(0, dtype=np.int64)]
-    weights = [np.zeros(0)]
+    keys = np.zeros(0, dtype=np.int64)
+    values = np.zeros(0)
+    pending_keys, pending_weights = [], []
+
+    def merge():
+        merged, slot = np.unique(np.concatenate([keys] + pending_keys), return_inverse=True)
+        sums = np.bincount(slot, weights=np.concatenate([values] + pending_weights),
+                           minlength=len(merged))
+        pending_keys.clear()
+        pending_weights.clear()
+        return merged, sums
+
     for j in range(1, min(config.window, int(pos.max(initial=0))) + 1):
         inside = pos[j:] >= j
         offset_keys, n = np.unique(
             tokens[j:][inside] * base + tokens[:-j][inside], return_counts=True
         )
-        keys.append(offset_keys)
-        weights.append(n / j)
-    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    values = np.bincount(slot, weights=np.concatenate(weights), minlength=len(keys))
+        pending_keys.append(offset_keys)
+        pending_weights.append(n / j)
+        if sum(map(len, pending_keys)) >= len(keys):
+            keys, values = merge()
+    if pending_keys:
+        keys, values = merge()
     return CooccurrenceTable(keys // base, keys % base, values)
 
 

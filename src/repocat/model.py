@@ -24,15 +24,26 @@ pool reads whole-step slabs.  The sigmoid gates i, f and o are computed as
 0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight and bias
 columns (exact in binary), so one tanh per step covers all four gates.
 
+Every forward pass runs at most PASS_ROWS rows: `predict_proba` splits
+its input, and `train_step` its batch, into consecutive passes.  A train
+step runs a forward and a backward pass per pass, sums the passes'
+gradients, each taken from that pass's cross-entropy divided by the
+batch's row count, and steps the optimizer once on the sums, the batch's
+mean gradient.  The passes draw their dropout rows from the step's rng in
+turn, the numbers one draw over the whole batch gives.  So the memory a
+step needs follows the pass, not the batch.
+
 `fit` hands every train step one workspace: a dict in which `_buf` keeps
 the large activations and gradients (the conv windows, the conv, pool,
-mask, gate and LSTM state arrays, the gate gradient and the parameter
-gradients) and returns them to the next step, which writes them in place.
-Each is one flat array that only grows, so a smaller batch or a
-validation pass runs in the leading part of the memory a full batch
-left.  The backward pass writes the pool gradient into the pool
+mask, gate and LSTM state arrays, the LSTM weights with their sigmoid
+columns halved, a pass's parameter gradients and their sums over the
+batch) and returns them to the next pass, which writes them in place.
+Each is one flat array that only grows, so a smaller pass runs in the
+leading part of the memory a full one left.  The backward pass writes the
+gate gradient over the gates in `G`, the pool gradient into the pool
 activations' buffer `P` and the conv gradient into the conv activations'
-buffer `A`, since neither activation is read again.  A step on a warm
+buffer `A`, as it stops reading each.  At the default config the
+workspace holds 19.8 MB after a batch-128 step.  A step on a warm
 workspace allocates no multi-MB array, so it does not page-fault in
 memory that the allocator gave back to the kernel after the step before.
 `predict_proba` takes a workspace too: `fit`'s validation passes use the
@@ -73,13 +84,14 @@ from .tokens import Vocabulary
 
 logger = logging.getLogger(__name__)
 
-# Rows per forward pass in predict_proba.  Measured in TRAIN_DTYPE on the
-# 3,600 `cd` rows of a `categorize` fixture (best of 5; 2-CPU Xeon, NumPy
-# 2.4.6, OpenBLAS): 16 rows took 0.91 s, 32 rows 0.79 s and 64 rows 0.66 s,
-# with tracemalloc peaks of 2.8, 5.0 and 9.5 MB.  32 is the fastest whose
-# peak stays under the float64 pass's 5.6 MB (16 rows, 1.61 s); activations
-# grow with rows.
-PREDICT_ROWS = 32
+# Rows per forward pass, in training and in prediction; activations grow
+# with rows.  Measured in TRAIN_DTYPE (2-CPU Xeon, NumPy 2.4.6, OpenBLAS):
+# predict_proba on the 3,600 `cd` rows of a `categorize` fixture took
+# 0.64 s at 64 rows against 0.70 s at 32 (best of 5), peaking at 16.2 MB of
+# tracemalloc memory against 8.5 MB with a fresh workspace.  A batch-128
+# train step in two 64-row passes took 60-61 ms against 55 ms in one (best
+# of 9), and left a 19.8 MB workspace against 37.0 MB.
+PASS_ROWS = 64
 
 # The precision of every fitted or loaded network.  A batch-128 train step
 # at the stock shapes, on a warm workspace, took 74-79 ms in float32 against
@@ -345,11 +357,12 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     half = np.ones(4 * U, dtype=dt)
     half[: 2 * U] = 0.5
     half[3 * U :] = 0.5
-    wh = p["lstm_wh"] * half
+    wx = np.multiply(p["lstm_wx"], half, out=_buf(ws, "wx_half", (F, 4 * U), dt))
+    wh = np.multiply(p["lstm_wh"], half, out=_buf(ws, "wh_half", (U, 4 * U), dt))
     # input projection for every step at once; the loop turns each step's
     # block into that step's gate activations in place
     G = _buf(ws, "G", (T2, B, 4 * U), dt)
-    np.matmul(P.reshape(T2 * B, F), p["lstm_wx"] * half, out=G.reshape(T2 * B, 4 * U))
+    np.matmul(P.reshape(T2 * B, F), wx, out=G.reshape(T2 * B, 4 * U))
     G += p["lstm_b"] * half
     if not want_cache:
         del P
@@ -396,12 +409,15 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     return probs, cache
 
 
-def _backward(model, cache, onehot, ws=None):
-    """Gradients of mean cross-entropy w.r.t. all trainable parameters.
+def _backward(model, cache, onehot, ws=None, batch_rows=None):
+    """Gradients w.r.t. all trainable parameters of the pass's summed
+    cross-entropy divided by `batch_rows`: the mean cross-entropy when it
+    is the pass's own row count (the default), the pass's share of a batch's
+    mean when the batch runs as several passes.
 
-    The gate gradient and the returned parameter gradients are taken from
-    the workspace `ws` (see `_buf`); the pool and conv gradients overwrite
-    the cache's `P` and `A`."""
+    The returned parameter gradients are taken from the workspace `ws` (see
+    `_buf`); the gate, pool and conv gradients overwrite the cache's `G`,
+    `P` and `A`."""
     cfg = model.config
     p = model.params
     dt = p["conv_w"].dtype
@@ -409,7 +425,7 @@ def _backward(model, cache, onehot, ws=None):
     F, U = cfg.filters, cfg.lstm_units
     T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
 
-    dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / B
+    dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / (batch_rows or B)
     grads = {name: _buf(ws, "d" + name, shape, dt)
              for name, shape in param_shapes(cfg).items()}
     np.matmul(cache["Hd"].T, dlogits, out=grads["out_w"])
@@ -421,10 +437,10 @@ def _backward(model, cache, onehot, ws=None):
     np.matmul(H[T2].T, dhid_pre, out=grads["hid_w"])
     np.sum(dhid_pre, axis=0, out=grads["hid_b"])
 
-    # the loop only carries dh/dc back through time; it writes each step's
-    # gate-input gradient into dG, and the weight gradients are one matmul
-    # each over all steps afterwards
-    dG = _buf(ws, "dG", (T2, B, 4 * U), dt)
+    # the loop only carries dh/dc back through time; once it has read a
+    # step's gates it writes that step's gate-input gradient over them in
+    # G, and the weight gradients are one matmul each over all steps
+    # afterwards
     dh = dhid_pre @ p["hid_w"].T
     dc = np.zeros_like(dh)
     for t in range(T2 - 1, -1, -1):
@@ -432,14 +448,16 @@ def _backward(model, cache, onehot, ws=None):
         gi, gf, gg, go = g[:, :U], g[:, U : 2 * U], g[:, 2 * U : 3 * U], g[:, 3 * U :]
         tc = TC[t]
         dc += dh * go * (1.0 - tc * tc)
-        dz = dG[t]
-        dz[:, :U] = dc * gg * gi * (1.0 - gi)
-        dz[:, U : 2 * U] = dc * C[t] * gf * (1.0 - gf)
-        dz[:, 2 * U : 3 * U] = dc * gi * (1.0 - gg * gg)
-        dz[:, 3 * U :] = dh * tc * go * (1.0 - go)
-        dh = dz @ p["lstm_wh"].T
+        # each gate slot is overwritten only after the last read of it
+        di = dc * gg * gi * (1.0 - gi)
+        df = dc * C[t] * gf * (1.0 - gf)
+        go[...] = dh * tc * go * (1.0 - go)
+        gg[...] = dc * gi * (1.0 - gg * gg)
+        gi[...] = di
         dc *= gf
-    dG = dG.reshape(T2 * B, 4 * U)
+        gf[...] = df
+        dh = g @ p["lstm_wh"].T
+    dG = G.reshape(T2 * B, 4 * U)
     P = cache["P"]
     np.matmul(P.reshape(T2 * B, F).T, dG, out=grads["lstm_wx"])
     np.matmul(H[:T2].reshape(T2 * B, U).T, dG, out=grads["lstm_wh"])
@@ -473,24 +491,46 @@ def cross_entropy(probs, onehot):
 
 def train_step(model, opt, ids, onehot, rng, ws=None):
     """Forward (with dropout drawn from `rng`) + backward + one step of the
-    Adamax `opt` on one minibatch; returns the batch loss.
+    Adamax `opt` on one minibatch; returns the batch loss, the mean
+    cross-entropy over its rows.
+
+    The batch runs as consecutive passes of at most PASS_ROWS rows, each a
+    forward and a backward pass.  The passes draw their dropout rows from
+    `rng` in turn, the numbers one draw for the whole batch would give,
+    since the generator fills row by row.  Their gradients, each divided by
+    the batch's row count, are summed into workspace buffers, and the
+    optimizer steps once, on the sums.
 
     `ws` is a workspace dict (see `_buf`) for the large activations and
     gradients; passing the same one to every step of a run reuses them."""
-    probs, cache = _forward(model, ids, rng=rng, want_cache=True, ws=ws)
-    loss = cross_entropy(probs, onehot)
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"non-finite training loss: {loss}")
-    grads = _backward(model, cache, onehot, ws=ws)
+    ids = np.asarray(ids)
+    rows = ids.shape[0]
+    dt = model.params["conv_w"].dtype
+    grads = {name: _buf(ws, "sum_d" + name, shape, dt)
+             for name, shape in param_shapes(model.config).items()}
+    total = 0.0
+    for lo in range(0, rows, PASS_ROWS):
+        part = slice(lo, lo + PASS_ROWS)
+        probs, cache = _forward(model, ids[part], rng=rng, want_cache=True, ws=ws)
+        loss = cross_entropy(probs, onehot[part])
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"non-finite training loss: {loss}")
+        total += loss * len(probs)
+        pass_grads = _backward(model, cache, onehot[part], ws=ws, batch_rows=rows)
+        for name, grad in grads.items():
+            if lo == 0:
+                np.copyto(grad, pass_grads[name])
+            else:
+                grad += pass_grads[name]
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient in {name}")
     opt.step(model.params, grads)
-    return loss
+    return total / rows
 
 
 def predict_proba(model, ids, ws=None):
-    """Probabilities for (N, seq_len) ids, PREDICT_ROWS rows per forward
+    """Probabilities for (N, seq_len) ids, PASS_ROWS rows per forward
     pass; returns (N, C).
 
     `ws` is a workspace dict (see `_buf`) for the passes' activations:
@@ -499,8 +539,8 @@ def predict_proba(model, ids, ws=None):
     on it."""
     ids = np.asarray(ids)
     out = np.empty((ids.shape[0], model.config.num_categories))
-    for lo in range(0, ids.shape[0], PREDICT_ROWS):
-        probs, _ = _forward(model, ids[lo : lo + PREDICT_ROWS], ws=ws)
+    for lo in range(0, ids.shape[0], PASS_ROWS):
+        probs, _ = _forward(model, ids[lo : lo + PASS_ROWS], ws=ws)
         out[lo : lo + probs.shape[0]] = probs
     return out
 

@@ -24,6 +24,32 @@ def oracle_cooccurrence(sentences, window, weighted=True):
     return counts
 
 
+def reference_cooccurrence_arrays(sentences, window):
+    """Every offset's pairs concatenated, then one np.unique and one
+    np.bincount: the sorted (targets, contexts, values) arrays, summed per
+    pair over offsets 1, 2, ... in turn."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    tokens = np.array([t for s in sentences for t in s], dtype=np.int64)
+    base = int(tokens.max(initial=0)) + 1
+    pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for j in range(1, min(window, int(pos.max(initial=0))) + 1):
+        inside = pos[j:] >= j
+        offset_keys, n = np.unique(tokens[j:][inside] * base + tokens[:-j][inside],
+                                   return_counts=True)
+        keys.append(offset_keys)
+        weights.append(n / j)
+    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.bincount(slot, weights=np.concatenate(weights), minlength=len(keys))
+    return keys // base, keys % base, values
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
 class TestCooccurrence:
     def test_frozen_small_example(self):
         # sentence [a b c] = ids [2 3 4], window 2:
@@ -62,6 +88,46 @@ class TestCooccurrence:
             assert set(table.counts) == set(oracle)
             for key, want in oracle.items():
                 assert abs(table[key] - want) <= 1e-12
+
+    def test_matches_one_merge_bit_for_bit_randomized(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            window = int(rng.integers(1, 30))
+            vocab = int(rng.integers(3, 40))
+            sentences = [
+                [int(x) for x in rng.integers(2, vocab, size=rng.integers(0, 80))]
+                for _ in range(int(rng.integers(1, 8)))
+            ]
+            table = embedding.build_cooccurrence(sentences, GloveConfig(window=window))
+            assert_same_arrays(table.to_arrays(),
+                               reference_cooccurrence_arrays(sentences, window))
+
+    def test_matches_one_merge_bit_for_bit_past_the_window(self):
+        # sentences of 150-300 tokens at window 100: every offset pairs,
+        # and the running table merges its pending offsets several times
+        rng = np.random.default_rng(44)
+        sentences = [[int(x) for x in rng.zipf(1.3, size=rng.integers(150, 300)) % 500 + 2]
+                     for _ in range(60)]
+        table = embedding.build_cooccurrence(sentences, GloveConfig(window=100))
+        assert_same_arrays(table.to_arrays(), reference_cooccurrence_arrays(sentences, 100))
+
+    def test_memory_follows_distinct_pairs_not_occurrences(self):
+        # 8 sentences of 250 tokens over 100 ids, each repeated 5 times, at
+        # window 200: about 1.2M pair occurrences, at most 10,000 distinct
+        # pairs.  Counting into a running table peaks at 6.8x the table's
+        # bytes; keeping every offset's pairs until one final count, at 62x
+        rng = np.random.default_rng(45)
+        sentences = [[int(x) for x in rng.integers(2, 102, size=250)] for _ in range(8)] * 5
+        tracemalloc.start()
+        try:
+            table = embedding.build_cooccurrence(sentences, GloveConfig(window=200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = sum(a.nbytes for a in table.to_arrays())
+        occurrences = sum(min(t, 200) for s in sentences for t in range(len(s)))
+        assert occurrences > 100 * len(table)
+        assert peak < 10 * table_bytes, (peak, table_bytes)
 
     def test_no_pairs_gives_empty_table(self):
         for sentences in ([], [[]], [[5], [], [7]]):

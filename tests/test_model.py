@@ -141,7 +141,7 @@ class TestForward:
         rng = np.random.default_rng(5)
         ids = rng.integers(0, 12, size=(9, m.config.seq_len))
         whole = M.predict_proba(m, ids)
-        monkeypatch.setattr(M, "PREDICT_ROWS", 2)
+        monkeypatch.setattr(M, "PASS_ROWS", 2)
         batched = M.predict_proba(m, ids)
         np.testing.assert_allclose(whole, batched, atol=1e-15)
 
@@ -150,7 +150,7 @@ class TestForward:
         m = make_model(seed=6)
         ids = np.random.default_rng(6).integers(0, 12, size=(37, m.config.seq_len))
         rows = np.array([M.predict_proba(m, row[None, :])[0] for row in ids])
-        monkeypatch.setattr(M, "PREDICT_ROWS", chunk)
+        monkeypatch.setattr(M, "PASS_ROWS", chunk)
         np.testing.assert_allclose(M.predict_proba(m, ids), rows, rtol=0, atol=1e-12)
 
     def test_bad_ids_rejected(self):
@@ -398,6 +398,39 @@ class TestTrainStep:
             M.train_step(m, opt, ids, Y, np.random.default_rng(0))
 
 
+class TestPasses:
+    """train_step runs a batch as passes of at most PASS_ROWS rows."""
+
+    @staticmethod
+    def _one_step(monkeypatch, pass_rows):
+        monkeypatch.setattr(M, "PASS_ROWS", pass_rows)
+        cfg = tiny_config(pool_size=3, seq_len=18, dropout_level=0.5)
+        m = make_model(cfg, seed=19).astype(M.TRAIN_DTYPE)
+        data = np.random.default_rng(19)
+        ids = data.integers(0, 12, size=(5, cfg.seq_len))
+        onehot = np.zeros((5, 3))
+        onehot[np.arange(5), [0, 1, 2, 1, 0]] = 1.0
+        rng = np.random.default_rng(20)
+        ws = {}
+        loss = M.train_step(m, M.Adamax(cfg, m.params), ids, onehot, rng, ws=ws)
+        grads = {name: ws["sum_d" + name] for name in M.PARAM_NAMES}
+        return loss, grads, m.params, rng.bit_generator.state
+
+    def test_passes_match_one_pass(self, monkeypatch):
+        # passes of 2, 2 and 1 rows against one pass of all 5: the dropout
+        # draws come from rng in the same order, and the gradients and loss
+        # are the same sums taken in another order
+        loss, grads, params, state = self._one_step(monkeypatch, 2)
+        want_loss, want_grads, want_params, want_state = self._one_step(monkeypatch, 8)
+        assert state == want_state
+        assert loss == pytest.approx(want_loss, rel=1e-6)
+        for name in M.PARAM_NAMES:
+            np.testing.assert_allclose(grads[name], want_grads[name],
+                                       rtol=1e-5, atol=1e-7, err_msg=name)
+            np.testing.assert_allclose(params[name], want_params[name],
+                                       rtol=1e-6, atol=1e-6, err_msg=name)
+
+
 class TestWorkspace:
     """fit hands every train step the same workspace (see model._buf)."""
 
@@ -431,10 +464,16 @@ class TestWorkspace:
         self._fill_with_junk(monkeypatch)
         ws = {}
         got_losses, got = self._three_steps(ws=ws)
-        assert {"H", "C", "dG", "taken"} <= set(ws)
+        assert {"H", "C", "taken"} <= set(ws)
         assert got_losses == want_losses
         for name in M.PARAM_NAMES:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_shared_workspace_matches_fresh_buffers_across_passes(self, monkeypatch):
+        # 4-, 3- and 4-row steps in passes of 2 rows: the passes share the
+        # activation buffers, and their gradients are summed in the workspace
+        monkeypatch.setattr(M, "PASS_ROWS", 2)
+        self.test_shared_workspace_matches_fresh_buffers(monkeypatch)
 
     def test_warm_workspace_allocates_little(self):
         cfg = ClassifierConfig(num_categories=6)
@@ -457,7 +496,7 @@ class TestWorkspace:
                 peaks[key] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # 1.86 MB against 42.1 MB here: the gradients go into the workspace
+        # 1.06 MB against 36.6 MB here: the gradients go into the workspace
         # too, so what a warm step allocates is the small per-step temporaries
         assert peaks["warm"] <= peaks["fresh"] / 20, peaks
 
@@ -477,13 +516,13 @@ class TestWorkspace:
         m = make_model(tail_config(), seed=16).astype(M.TRAIN_DTYPE)
         rng = np.random.default_rng(16)
         batches = [rng.integers(0, 12, size=(rows, m.config.seq_len))
-                   for rows in (M.PREDICT_ROWS + 5, 3, 2 * M.PREDICT_ROWS)]
+                   for rows in (M.PASS_ROWS + 5, 3, 2 * M.PASS_ROWS)]
         want = [M.predict_proba(m, ids) for ids in batches]
         self._fill_with_junk(monkeypatch)
         ws = {}
         for ids, probs in zip(batches, want):
             np.testing.assert_array_equal(M.predict_proba(m, ids, ws=ws), probs)
-        assert {"win_flat", "A", "P", "G", "H", "C", "TC"} == set(ws)
+        assert {"win_flat", "A", "P", "wx_half", "wh_half", "G", "H", "C", "TC"} == set(ws)
 
     def test_warm_predict_allocates_little(self):
         cfg = ClassifierConfig(num_categories=6)
@@ -502,15 +541,18 @@ class TestWorkspace:
                 peaks[key] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # 0.60 MB against 4.87 MB here; most of the warm peak is the LSTM
-        # weights with their gate columns halved, made afresh per pass
-        assert peaks["warm"] <= peaks["fresh"] / 5, peaks
+        # 0.31 MB against 9.83 MB here: the LSTM weights with their gate
+        # columns halved are written into the workspace too, so a warm call
+        # allocates only per-pass temporaries such as the window index
+        assert peaks["warm"] <= peaks["fresh"] / 20, peaks
 
     def test_workspace_size_at_the_default_config(self):
-        # batch 128 in float32: 40.2 MB of activations, since the pool and
-        # conv gradients reuse the pool and conv activations' buffers and the
-        # lookup writes the conv windows directly (54.4 MB with separate
-        # buffers), plus one parameter-sized buffer per gradient (1.1 MB)
+        # batch 128 in float32, run as two passes of 64 rows: 17.1 MB of
+        # activations, since the gate, pool and conv gradients reuse the
+        # gate, pool and conv activations' buffers and the lookup writes the
+        # conv windows directly, plus the halved LSTM weights (0.6 MB) and
+        # the gradients summed over the passes (1.1 MB); then one
+        # parameter-sized buffer per pass gradient (1.1 MB)
         cfg = ClassifierConfig(num_categories=6)
         emb = np.random.default_rng(18).normal(size=(50, cfg.embed_dims))
         m = M.init_model(cfg, emb, seed=18).astype(M.TRAIN_DTYPE)
@@ -521,7 +563,7 @@ class TestWorkspace:
         ws = {}
         M.train_step(m, M.Adamax(cfg, m.params), ids, onehot, rng, ws=ws)
         grads = {"d" + name for name in M.PARAM_NAMES}
-        assert sum(arr.nbytes for name, arr in ws.items() if name not in grads) < 41e6
+        assert sum(arr.nbytes for name, arr in ws.items() if name not in grads) < 20e6
         assert sum(ws[name].nbytes for name in grads) == sum(
             arr.nbytes for arr in m.params.values())
 
