@@ -15,6 +15,7 @@ settings reproduce byte-identical outputs.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -245,8 +246,7 @@ def cmd_extract(args, cfg):
 
 
 def cmd_dataset_split(args, cfg):
-    records, _ = corpus.read_token_dataset(args.dataset)
-    projects = corpus.group_by_project(records)
+    projects = sorted(corpus.iter_projects(args.dataset), key=lambda proj: proj.name)
     split = corpus.make_splits(
         projects,
         holdout_per_category=cfg["split.holdout_per_category"],
@@ -438,11 +438,13 @@ def cmd_train_lr(args, cfg):
 
 def _load_predictor(path):
     """(predict_batch, categories, kind) from either checkpoint flavor, read
-    once; predict_batch maps N token lists to (N, C) probabilities.  The
-    network comes from `model.from_checkpoint`, so it predicts in
+    once; predict_batch maps N token lists to (N, C) probabilities.  `eval`
+    calls it once per project, as `corpus.iter_projects` reads each one.
+    The network comes from `model.from_checkpoint`, so it predicts in
     model.TRAIN_DTYPE, the precision `fit` trains it in and picks its
     epoch by, and runs every call's forward passes in one workspace
-    (`model._buf`), so calls must not overlap."""
+    (`model._buf`), whose size follows the pass (at most model.PASS_ROWS
+    rows), not the project or the holdout; so calls must not overlap."""
     meta, arrays = checkpoint.load_checkpoint(path)
     kind = meta.get("kind")
     if kind == "nn":
@@ -467,10 +469,10 @@ def _load_predictor(path):
 
 def cmd_eval(args, cfg):
     predict, categories, kind = _load_predictor(args.model)
-    records, _ = corpus.read_token_dataset(args.holdout)
-    projects = corpus.group_by_project(records)
+    # the holdout streams in: each project is predicted and voted as soon
+    # as its records are read, and none is held after its verdict
     report, verdicts = evaluation.evaluate_project_level(
-        predict, projects, args.variant, categories
+        predict, corpus.iter_projects(args.holdout), args.variant, categories
     )
     meta = _artifact_meta(
         cfg, "eval",
@@ -500,10 +502,12 @@ def cmd_explain(args, cfg):
             f"target must look like <project>/<function>, got {args.target!r}"
         )
     net, vocab, _, _ = model.load_model(args.model)
-    records, _ = corpus.read_token_dataset(args.dataset)
-    record = next(
-        (r for r in records if r.project == project and r.function == function), None
-    )
+    # read up to the target only
+    with contextlib.closing(corpus.iter_token_dataset(args.dataset)) as records:
+        next(records)  # the meta
+        record = next(
+            (r for r in records if r.project == project and r.function == function), None
+        )
     if record is None:
         raise ValueError(f"function {args.target!r} not found in {args.dataset}")
     toks = tokens.variant_tokens(record.tokens, record.descr_tokens, "co")

@@ -563,17 +563,16 @@ def _token_list(path, row, field, memo):
     return list(map(memo.setdefault, value, value))
 
 
-def read_token_dataset(path):
-    """Returns (list of FunctionTokens, meta).
+def iter_token_dataset(path):
+    """Parse a token dataset one line at a time.  Yields its meta first
+    (None when absent), then each record as a FunctionTokens.
 
-    Parses one line at a time, and equal tokens of all records share one
-    `str`: a holdout repeats a few thousand distinct tokens hundreds of
-    thousands of times."""
+    Equal tokens of all records share one `str`: a holdout repeats a few
+    thousand distinct tokens hundreds of thousands of times.  The file is
+    closed when the iterator is exhausted or closed, or a record is bad."""
     memo = {}
-    records = []
-    # closing: a bad record ends the read with the file closed at once
     with contextlib.closing(fileio.iter_jsonl(path)) as rows:
-        meta = next(rows)
+        yield next(rows)
         for row in rows:
             missing = {"project", "function", "category", "tokens"} - set(row)
             if missing:
@@ -581,37 +580,54 @@ def read_token_dataset(path):
             for field in ("project", "function", "category"):
                 if not isinstance(row[field], str):
                     raise ValueError(f"{path}: dataset record field {field!r} must be a string")
-            records.append(
-                FunctionTokens(
-                    project=row["project"],
-                    function=row["function"],
-                    category=row["category"],
-                    tokens=_token_list(path, row, "tokens", memo),
-                    descr_tokens=_token_list(path, row, "descr_tokens", memo),
-                )
+            yield FunctionTokens(
+                project=row["project"],
+                function=row["function"],
+                category=row["category"],
+                tokens=_token_list(path, row, "tokens", memo),
+                descr_tokens=_token_list(path, row, "descr_tokens", memo),
             )
-    return records, meta
 
 
-def group_by_project(records):
-    """Group FunctionTokens into Projects (sorted by name, file order kept).
+def read_token_dataset(path):
+    """Returns (list of FunctionTokens, meta)."""
+    records = iter_token_dataset(path)
+    meta = next(records)
+    return list(records), meta
 
-    Raises ValueError if one project carries two categories.
-    """
-    by_name = {}
-    order_kept = []
+
+def iter_projects(path):
+    """Yield the Projects of a token dataset in file order, each as soon as
+    its last record has been read, so only one project's records are held
+    at a time.
+
+    A project's records must be contiguous, as `extract` and `dataset split`
+    write them: a project whose records reappear after another project's
+    raises ValueError, as does one project carrying two categories."""
+    records = iter_token_dataset(path)
+    next(records)  # the meta
+    seen = set()
+    project = None
     for rec in records:
-        if rec.project not in by_name:
-            by_name[rec.project] = Project(name=rec.project, category=rec.category)
-            order_kept.append(rec.project)
-        proj = by_name[rec.project]
-        if proj.category != rec.category:
+        if project is not None and rec.project == project.name:
+            if rec.category != project.category:
+                raise ValueError(
+                    f"project {rec.project!r} labeled both "
+                    f"{project.category!r} and {rec.category!r}"
+                )
+            project.functions.append(rec)
+            continue
+        if project is not None:
+            yield project
+        if rec.project in seen:
             raise ValueError(
-                f"project {rec.project!r} labeled both "
-                f"{proj.category!r} and {rec.category!r}"
+                f"{path}: the records of project {rec.project!r} are not "
+                "contiguous: they resume after another project's"
             )
-        proj.functions.append(rec)
-    return [by_name[name] for name in sorted(by_name)]
+        seen.add(rec.project)
+        project = Project(name=rec.project, category=rec.category, functions=[rec])
+    if project is not None:
+        yield project
 
 
 def read_labels(path):

@@ -146,20 +146,19 @@ def evaluate_project_level(predict_batch, holdout_projects, variant, categories)
     """Score held-out projects with a batch predictor.
 
     predict_batch maps a list of N token lists to an (N, C) array of
-    probabilities over category indices (aligned with `categories`).  Each
+    probabilities over category indices (aligned with `categories`).
+    `holdout_projects` is any iterable of Projects, read once: each
     project's functions are represented under `variant` ("co" or "cd") and
-    predicted in one call, their predictions are voted, and the per-project
-    verdicts are scored against the gold categories.
+    predicted in one call, and their predictions are voted before the next
+    project is taken, so a stream of projects is held one at a time.  The
+    verdicts, sorted by project name (ties keep their order), are scored
+    against the gold categories.
 
-    Returns (MetricsReport, [ProjectVerdict]).
+    Returns (MetricsReport, [ProjectVerdict]), both in project-name order.
     """
     if variant not in ("co", "cd"):
         raise ValueError(f"unknown representation variant: {variant!r}")
-    if not holdout_projects:
-        raise ValueError("no held-out projects to evaluate")
     index_of = {cat: i for i, cat in enumerate(categories)}
-    gold_labels = []
-    predicted_labels = []
     verdicts = []
     for project in holdout_projects:
         if project.category not in index_of:
@@ -179,9 +178,14 @@ def evaluate_project_level(predict_batch, holdout_projects, variant, categories)
         verdict = vote([Prediction(row) for row in probs], project=project.name)
         verdict.gold = index_of[project.category]
         verdicts.append(verdict)
-        gold_labels.append(project.category)
-        predicted_labels.append(categories[verdict.winner])
-    report = classification_report(gold_labels, predicted_labels, categories)
+    if not verdicts:
+        raise ValueError("no held-out projects to evaluate")
+    verdicts.sort(key=lambda v: v.project)
+    report = classification_report(
+        [categories[v.gold] for v in verdicts],
+        [categories[v.winner] for v in verdicts],
+        categories,
+    )
     return report, verdicts
 
 

@@ -16,13 +16,20 @@ its training history.  `init_model` returns float64 parameters, and
 `gradient_check` stays float64, since its central differences need
 float64's resolution.
 
-The forward and backward passes run time-major: the lookup gathers each
-conv window's rows from the table straight into the (steps * batch,
-kernel * dims) window matrix, and the conv, pool and LSTM activations are
-(steps, batch, width), so every time step is one contiguous block and the
-pool reads whole-step slabs.  The sigmoid gates i, f and o are computed as
-0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight and bias
-columns (exact in binary), so one tanh per step covers all four gates.
+The forward and backward passes run time-major: the conv, pool and LSTM
+activations are (steps, batch, width), so every time step is one
+contiguous block and the pool reads whole-step slabs.  The conv runs in
+blocks of CONV_BLOCK pooled steps: the lookup gathers a block's conv
+windows from the table straight into a (block steps * batch, kernel *
+dims) window matrix, one GEMM gives the block's activations, and the pool
+reduces them into the pool activations at once.  So no pass holds the
+windows or conv activations of all its steps, and the conv steps that the
+pool cuts (conv_len % pool_size of them) are not computed.  The backward
+pass walks the same blocks, gathering each block's windows again for its
+share of the conv weight gradient.  The sigmoid gates i, f and o are
+computed as 0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight
+and bias columns (exact in binary), so one tanh per step covers all four
+gates.
 
 Every forward pass runs at most PASS_ROWS rows: `predict_proba` splits
 its input, and `train_step` its batch, into consecutive passes.  A train
@@ -34,18 +41,20 @@ turn, the numbers one draw over the whole batch gives.  So the memory a
 step needs follows the pass, not the batch.
 
 `fit` hands every train step one workspace: a dict in which `_buf` keeps
-the large activations and gradients (the conv windows, the conv, pool,
-mask, gate and LSTM state arrays, the LSTM weights with their sigmoid
-columns halved, a pass's parameter gradients and their sums over the
-batch) and returns them to the next pass, which writes them in place.
-Each is one flat array that only grows, so a smaller pass runs in the
-leading part of the memory a full one left.  The backward pass writes the
-gate gradient over the gates in `G`, the pool gradient into the pool
-activations' buffer `P` and the conv gradient into the conv activations'
-buffer `A`, as it stops reading each.  At the default config the
-workspace holds 19.8 MB after a batch-128 step.  A step on a warm
-workspace allocates no multi-MB array, so it does not page-fault in
-memory that the allocator gave back to the kernel after the step before.
+the large activations and gradients (a block's conv windows and conv
+activations, the pool, mask, gate and LSTM state arrays, the LSTM weights
+with their sigmoid columns halved, a pass's parameter gradients and their
+sums over the batch) and returns them to the next pass, which writes them
+in place.  Each is one flat array that only grows, so a smaller pass runs
+in the leading part of the memory a full one left.  The backward pass
+writes the gate gradient over the gates in `G`, the pool gradient into the
+pool activations' buffer `P` and each block's conv gradient into the conv
+activations' buffer `A`, as it stops reading each.  At the default config
+the workspace holds 13.9 MB after a batch-128 step, and a 30-row
+prediction pass 4.9 MB.  A step
+on a warm workspace allocates no multi-MB array, so it does not
+page-fault in memory that the allocator gave back to the kernel after the
+step before.
 `predict_proba` takes a workspace too: `fit`'s validation passes use the
 training one, and `eval` holds one for all its calls.  An array from a
 workspace, and so a cache that holds one, is valid only until the next
@@ -67,10 +76,11 @@ conv fans are kernel*embed_dims and filters; LSTM per-gate fans are
 (input_size, units)).  Biases start at zero except the LSTM forget gate,
 which starts at one.  Gate order in the stacked LSTM matrices is i, f, g, o.
 
-Training picks the best of `epochs` per-epoch snapshots by function-level
-accuracy on a withheld-project validation slice.  Dropout applies exactly
-when the forward pass is given an rng, as every train step is; it is
-inverted (scaling at train time), so inference needs no rescaling.
+Training returns the parameters of the epoch with the best function-level
+accuracy on a withheld-project validation slice, keeping one snapshot.
+Dropout applies exactly when the forward pass is given an rng, as every
+train step is; it is inverted (scaling at train time), so inference needs
+no rescaling.
 """
 
 import logging
@@ -90,8 +100,21 @@ logger = logging.getLogger(__name__)
 # 0.64 s at 64 rows against 0.70 s at 32 (best of 5), peaking at 16.2 MB of
 # tracemalloc memory against 8.5 MB with a fresh workspace.  A batch-128
 # train step in two 64-row passes took 60-61 ms against 55 ms in one (best
-# of 9), and left a 19.8 MB workspace against 37.0 MB.
+# of 9), and left a 19.8 MB workspace against 37.0 MB.  Since the conv runs
+# in CONV_BLOCK blocks, a 64-row prediction pass leaves a 9.9 MB workspace
+# (15.8 MB before) and a batch-128 train step 13.9 MB.
 PASS_ROWS = 64
+
+# Pooled steps per conv block: the forward pass gathers, convolves and pools
+# this many pool windows at a time, and the backward pass walks the same
+# blocks.  At the stock shapes in TRAIN_DTYPE (2-CPU Xeon, NumPy 2.4.6,
+# OpenBLAS; median of 15 best-of-10 timings), the conv and pool of a 64-row
+# pass took 3.19 ms in blocks of 8 against 3.12 ms in one block of all 29
+# (block 4: 3.42, block 16: 3.13), and the conv weight gradient with its
+# re-gather 3.27 against 3.17 ms (block 4: 3.38); at 30 rows 1.55 against
+# 1.48 ms forward.  A block of 8 holds 2.3 MB of windows and activations at
+# 64 rows, against 8.2 MB for all steps.
+CONV_BLOCK = 8
 
 # The precision of every fitted or loaded network.  A batch-128 train step
 # at the stock shapes, on a warm workspace, took 74-79 ms in float32 against
@@ -194,14 +217,17 @@ class Adamax:
     m = b1 m + (1-b1) g;  u = max(b2 u, |g|);
     param -= lr * (m / (1 - b1^t)) / (u + eps), with BETA1, BETA2, EPSILON.
 
-    A step computes in two scratch arrays per parameter that the optimizer
-    owns, so it allocates no parameter-sized array."""
+    A step computes each parameter's update in the leading part of two
+    scratch arrays that the optimizer owns, sized for the largest
+    parameter, so it allocates no parameter-sized array."""
 
     def __init__(self, config, params):
         self.config = config
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.u = {k: np.zeros_like(v) for k, v in params.items()}
-        self.scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
+        largest = max(params.values(), key=lambda v: v.size)
+        self.scratch = (np.empty(largest.size, largest.dtype),
+                        np.empty(largest.size, largest.dtype))
         self.t = 0
 
     def step(self, params, grads):
@@ -210,7 +236,7 @@ class Adamax:
         correction = 1.0 - BETA1 ** self.t
         for name, grad in grads.items():
             m, u = self.m[name], self.u[name]
-            a, b = self.scratch[name]
+            a, b = (s[: grad.size].reshape(grad.shape) for s in self.scratch)
             m *= BETA1
             m += np.multiply(1.0 - BETA1, grad, out=a)
             np.maximum(np.multiply(BETA2, u, out=a), np.abs(grad, out=b), out=u)
@@ -289,67 +315,95 @@ def _buf(ws, name, shape, dtype):
     return arr[:size].reshape(shape)
 
 
+def _checked_ids(model, ids):
+    """ids as a (B, seq_len) array, after checking its shape and that every
+    id has a row in `model.table`."""
+    ids = np.asarray(ids)
+    seq_len = model.config.seq_len
+    if ids.ndim != 2 or ids.shape[1] != seq_len:
+        raise ValueError(f"ids must be (batch, {seq_len}), got {ids.shape}")
+    if ids.min() < 0 or ids.max() >= model.table.shape[0]:
+        raise ValueError("token id outside embedding table")
+    return ids
+
+
+def _windows(model, ids, t0, t1, ws):
+    """The conv windows of steps t0 .. t1-1 of (B, seq_len) ids, gathered
+    from `model.table` into the workspace buffer "win": row (t, b) of the
+    ((t1 - t0) * B, kernel * dims) result holds the table rows of
+    ids[b, t0 + t .. t0 + t + kernel - 1]."""
+    K, D = model.config.kernel_size, model.config.embed_dims
+    B = ids.shape[0]
+    win = _buf(ws, "win", (t1 - t0, B, K, D), model.table.dtype)
+    at = np.arange(t0, t1)[:, None] + np.arange(K)  # (t1 - t0, K)
+    # the ids were checked (`_checked_ids`), so mode="clip" clips nothing and
+    # spares `take` its buffered copy
+    np.take(model.table, ids.T[at].transpose(0, 2, 1), axis=0, out=win, mode="clip")
+    return win.reshape((t1 - t0) * B, K * D)
+
+
+def _conv(model, ids, t0, t1, ws):
+    """Post-ReLU conv activations of steps t0 .. t1-1 of (B, seq_len) ids:
+    (t1 - t0, B, filters), in the workspace buffer "A"."""
+    p = model.params
+    F = model.config.filters
+    win = _windows(model, ids, t0, t1, ws)
+    A = np.matmul(win, p["conv_w"].reshape(-1, F), out=_buf(ws, "A", (len(win), F), win.dtype))
+    A += p["conv_b"]
+    np.maximum(A, 0.0, out=A)  # ReLU in place
+    return A.reshape(t1 - t0, ids.shape[0], F)
+
+
 def _forward(model, ids, rng=None, want_cache=False, ws=None):
     """Batched forward pass; ids is (B, seq_len) int.
 
     Dropout applies, drawing from `rng`, exactly when an rng is given.
     Runs time-major: activations are (steps, B, width), so each time step is
     one contiguous block.  Returns (probs, cache); cache is None unless
-    want_cache.  Without a cache, the conv and pool activations are dropped
-    as soon as the next layer has consumed them, so peak memory is about two
-    layers' activations.  The large activations are taken from the
+    want_cache.  The conv runs in blocks of CONV_BLOCK pooled steps, each
+    pooled as soon as it is computed, so only the pool activations of all
+    steps exist; without a cache they are dropped once the LSTM's input
+    projection has consumed them.  The large activations are taken from the
     workspace `ws` (see `_buf`), so the cache is valid only until the next
     call with that workspace.
     """
     cfg = model.config
-    ids = np.asarray(ids)
-    if ids.ndim != 2 or ids.shape[1] != cfg.seq_len:
-        raise ValueError(f"ids must be (batch, {cfg.seq_len}), got {ids.shape}")
-    if ids.min() < 0 or ids.max() >= model.table.shape[0]:
-        raise ValueError("token id outside embedding table")
+    ids = _checked_ids(model, ids)
     p = model.params
     B = ids.shape[0]
-    K, D, F, U = cfg.kernel_size, cfg.embed_dims, cfg.filters, cfg.lstm_units
-    T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
+    F, U = cfg.filters, cfg.lstm_units
+    T2, PS = cfg.pooled_len, cfg.pool_size
 
     dt = p["conv_w"].dtype
-    # the conv windows straight from the table: window row (t, b, k) is the
-    # row of ids[b, t + k]; the ids were checked above, so mode="clip" clips
-    # nothing and spares `take` its buffered copy
-    at = np.arange(T)[:, None] + np.arange(K)  # (T, K)
-    win_flat = _buf(ws, "win_flat", (T * B, K * D), dt)
-    np.take(model.table, ids.T[at].transpose(0, 2, 1), axis=0,
-            out=win_flat.reshape(T, B, K, D), mode="clip")
-    A = np.matmul(win_flat, p["conv_w"].reshape(K * D, F), out=_buf(ws, "A", (T * B, F), dt))
-    A += p["conv_b"]
-    np.maximum(A, 0.0, out=A)  # ReLU in place
-    A = A.reshape(T, B, F)
-    if not want_cache:
-        del win_flat
-
-    # pool window t2 covers steps t2*PS .. t2*PS+PS-1; slab k holds step k
-    # of every window, and steps from T2*PS on are cut
-    slabs = [A[k : T2 * PS : PS] for k in range(PS)]
+    # the conv runs CONV_BLOCK pooled steps at a time, and each block is
+    # max-pooled straight into P, so no pass holds the window matrix or the
+    # conv activations of all its steps; the steps from T2*PS on, which the
+    # pool cuts, are never computed
     P = _buf(ws, "P", (T2, B, F), dt)
-    np.copyto(P, slabs[0])
-    for slab in slabs[1:]:
-        np.maximum(P, slab, out=P)
-    pool_mask = None
-    if want_cache:
-        # the gradient goes to the first max of each window: clear every
-        # later position that ties with one already taken
-        pool_mask = _buf(ws, "pool_mask", (PS, T2, B, F), bool)
-        np.equal(slabs[0], P, out=pool_mask[0])
-        taken = _buf(ws, "taken", (T2, B, F), bool)
-        np.copyto(taken, pool_mask[0])
-        for k in range(1, PS):
-            np.equal(slabs[k], P, out=pool_mask[k])
-            # on bools, a > b is a and not b
-            np.greater(pool_mask[k], taken, out=pool_mask[k])
-            taken |= pool_mask[k]
-    else:
-        del A
-    del slabs
+    pool_mask = _buf(ws, "pool_mask", (PS, T2, B, F), bool) if want_cache else None
+    for j0 in range(0, T2, CONV_BLOCK):
+        j1 = min(j0 + CONV_BLOCK, T2)
+        A = _conv(model, ids, j0 * PS, j1 * PS, ws)
+        # pool window j covers the block's steps j*PS .. j*PS+PS-1; slab k
+        # holds step k of every window
+        slabs = [A[k::PS] for k in range(PS)]
+        P_blk = P[j0:j1]
+        np.copyto(P_blk, slabs[0])
+        for slab in slabs[1:]:
+            np.maximum(P_blk, slab, out=P_blk)
+        if want_cache:
+            # the gradient goes to the first max of each window: clear every
+            # later position that ties with one already taken
+            mask = pool_mask[:, j0:j1]
+            np.equal(slabs[0], P_blk, out=mask[0])
+            taken = _buf(ws, "taken", P_blk.shape, bool)
+            np.copyto(taken, mask[0])
+            for k in range(1, PS):
+                np.equal(slabs[k], P_blk, out=mask[k])
+                # on bools, a > b is a and not b
+                np.greater(mask[k], taken, out=mask[k])
+                taken |= mask[k]
+    del A, slabs, P_blk
 
     # the sigmoid gates i, f, o are 0.5 * (1 + tanh(z / 2)); halving their
     # weight and bias columns (exact in binary) lets one tanh per step cover
@@ -387,22 +441,22 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     if not want_cache:
         del G
 
-    hid_pre = H[T2] @ p["hid_w"] + p["hid_b"]
-    Hact = np.maximum(hid_pre, 0.0)
+    hid_pre = H[T2] @ p["hid_w"]
+    hid_pre += p["hid_b"]
+    Hd = np.maximum(hid_pre, 0.0)
     mask = None
     if rng is not None and cfg.dropout_level > 0.0:
         keep = 1.0 - cfg.dropout_level
-        mask = ((rng.random(Hact.shape) < keep) / keep).astype(dt, copy=False)
-        Hd = Hact * mask
-    else:
-        Hd = Hact
+        # 1 / keep, rounded to dt, where the float64 draw falls below keep
+        mask = np.multiply(rng.random(Hd.shape) < keep, dt.type(1.0 / keep))
+        Hd *= mask
     logits = Hd @ p["out_w"] + p["out_b"]
     probs = softmax(logits)
 
     cache = None
     if want_cache:
         cache = {
-            "win_flat": win_flat, "A": A, "pool_mask": pool_mask, "P": P,
+            "ids": ids, "pool_mask": pool_mask, "P": P,
             "G": G, "H": H, "C": C, "TC": TC,
             "hid_pre": hid_pre, "mask": mask, "Hd": Hd, "probs": probs,
         }
@@ -416,23 +470,25 @@ def _backward(model, cache, onehot, ws=None, batch_rows=None):
     mean when the batch runs as several passes.
 
     The returned parameter gradients are taken from the workspace `ws` (see
-    `_buf`); the gate, pool and conv gradients overwrite the cache's `G`,
-    `P` and `A`."""
+    `_buf`); the gate and pool gradients overwrite the cache's `G` and `P`,
+    and each conv block's gradient the workspace's conv activations."""
     cfg = model.config
     p = model.params
     dt = p["conv_w"].dtype
     B = onehot.shape[0]
     F, U = cfg.filters, cfg.lstm_units
-    T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
+    T2, PS = cfg.pooled_len, cfg.pool_size
 
     dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / (batch_rows or B)
     grads = {name: _buf(ws, "d" + name, shape, dt)
              for name, shape in param_shapes(cfg).items()}
     np.matmul(cache["Hd"].T, dlogits, out=grads["out_w"])
     np.sum(dlogits, axis=0, out=grads["out_b"])
-    dHd = dlogits @ p["out_w"].T
-    dH = dHd * cache["mask"] if cache["mask"] is not None else dHd
-    dhid_pre = dH * (cache["hid_pre"] > 0.0)
+    # the dense layer's gradient, through dropout and ReLU, in one array
+    dhid_pre = dlogits @ p["out_w"].T
+    if cache["mask"] is not None:
+        dhid_pre *= cache["mask"]
+    dhid_pre *= cache["hid_pre"] > 0.0
     H, C, G, TC = cache["H"], cache["C"], cache["G"], cache["TC"]
     np.matmul(H[T2].T, dhid_pre, out=grads["hid_w"])
     np.sum(dhid_pre, axis=0, out=grads["hid_b"])
@@ -442,6 +498,7 @@ def _backward(model, cache, onehot, ws=None, batch_rows=None):
     # G, and the weight gradients are one matmul each over all steps
     # afterwards
     dh = dhid_pre @ p["hid_w"].T
+    del dhid_pre
     dc = np.zeros_like(dh)
     for t in range(T2 - 1, -1, -1):
         g = G[t]
@@ -466,20 +523,30 @@ def _backward(model, cache, onehot, ws=None, batch_rows=None):
     # exactly when P > 0
     relu = _buf(ws, "relu", (T2, B, F), bool)
     np.greater(P, 0.0, out=relu)
-    # nothing reads P or A again: the pool gradient dP overwrites P, and
-    # the conv gradient dZ overwrites A
+    # nothing reads P again: the pool gradient dP overwrites it
     dP = P
     np.matmul(dG, p["lstm_wx"].T, out=dP.reshape(T2 * B, F))
     del dG
     dP *= relu
 
-    dZ = cache["A"]
-    for k in range(PS):
-        np.multiply(dP, cache["pool_mask"][k], out=dZ[k : T2 * PS : PS])
-    dZ[T2 * PS :] = 0.0
-    dZ_flat = dZ.reshape(T * B, F)
-    np.matmul(cache["win_flat"].T, dZ_flat, out=grads["conv_w"].reshape(-1, F))
-    np.sum(dZ_flat, axis=0, out=grads["conv_b"])
+    # the conv gradient, block by block as the forward pass ran: re-gather
+    # the block's windows, un-pool its share of dP into dZ (in the conv
+    # activations' buffer "A"), and add its share of the conv_w and conv_b
+    # gradients; the steps the pool cut have none
+    dconv_w = grads["conv_w"].reshape(-1, F)
+    for j0 in range(0, T2, CONV_BLOCK):
+        j1 = min(j0 + CONV_BLOCK, T2)
+        win = _windows(model, cache["ids"], j0 * PS, j1 * PS, ws)
+        dZ = _buf(ws, "A", ((j1 - j0) * PS, B, F), dt)
+        for k in range(PS):
+            np.multiply(dP[j0:j1], cache["pool_mask"][k, j0:j1], out=dZ[k::PS])
+        dZ = dZ.reshape(-1, F)
+        if j0 == 0:
+            np.matmul(win.T, dZ, out=dconv_w)
+            np.sum(dZ, axis=0, out=grads["conv_b"])
+        else:
+            dconv_w += np.matmul(win.T, dZ, out=_buf(ws, "dconv_w_blk", dconv_w.shape, dt))
+            grads["conv_b"] += dZ.sum(axis=0)
     return grads
 
 
@@ -517,6 +584,7 @@ def train_step(model, opt, ids, onehot, rng, ws=None):
             raise FloatingPointError(f"non-finite training loss: {loss}")
         total += loss * len(probs)
         pass_grads = _backward(model, cache, onehot[part], ws=ws, batch_rows=rows)
+        del probs, cache  # its dense-layer arrays need not outlive the pass
         for name, grad in grads.items():
             if lo == 0:
                 np.copyto(grad, pass_grads[name])
@@ -547,8 +615,8 @@ def predict_proba(model, ids, ws=None):
 
 def conv_activations(model, ids):
     """Post-ReLU convolution activations for one sequence: (conv_len, filters)."""
-    _, cache = _forward(model, np.asarray(ids)[None, :], want_cache=True)
-    return cache["A"][:, 0].copy()
+    ids = _checked_ids(model, np.asarray(ids)[None, :])
+    return _conv(model, ids, 0, model.config.conv_len, None)[:, 0]
 
 
 @dataclass
@@ -571,10 +639,11 @@ def fit(model, examples):
     """Train for config.epochs epochs; return the best snapshot as a new model.
 
     A fraction of training *projects* (validation_fraction, at least one
-    project) is withheld; after each epoch the parameters are snapshotted and
-    scored by function-level accuracy on the withheld slice.  The snapshot
-    with the highest validation accuracy wins (earliest epoch on ties).  The
-    embedding is frozen throughout.  The returned model carries a `history`
+    project) is withheld; after each epoch the parameters are scored by
+    function-level accuracy on the withheld slice.  One snapshot holds the
+    best epoch's parameters so far, and only a strictly higher accuracy
+    replaces it, so the earliest epoch wins ties.  The embedding is frozen
+    throughout.  The returned model carries a `history`
     dict with per-epoch losses and validation accuracies.
 
     Training runs on a TRAIN_DTYPE copy of the parameters, with Adamax state
@@ -625,7 +694,7 @@ def fit(model, examples):
     # the train steps' activations and gradients, reused step to step and
     # by the validation passes
     ws = {}
-    snapshots = []
+    best_params = {k: np.empty_like(v) for k, v in work.params.items()}
     val_accuracies = []
     epoch_losses = []
     for epoch in range(cfg.epochs):
@@ -639,8 +708,12 @@ def fit(model, examples):
             raise FloatingPointError(f"training diverged in epoch {epoch + 1}: "
                                      "non-finite validation probabilities")
         acc = float(np.mean(probs.argmax(axis=1) == yv))
-        snapshots.append({k: v.copy() for k, v in work.params.items()})
         val_accuracies.append(acc)
+        if pick_best_epoch(val_accuracies) == epoch:
+            # only a strictly higher accuracy replaces the snapshot, so the
+            # first best epoch wins ties
+            for k, v in work.params.items():
+                np.copyto(best_params[k], v)
         epoch_losses.append(float(np.mean(losses)))
         logger.info("epoch %d/%d: train loss %.4f, val accuracy %.4f",
                     epoch + 1, cfg.epochs, epoch_losses[-1], acc)
@@ -652,7 +725,7 @@ def fit(model, examples):
         "best_epoch": best,
         "val_projects": sorted(val_projects),
     }
-    return ClassifierModel(cfg, model.embedding, snapshots[best], history=history)
+    return ClassifierModel(cfg, model.embedding, best_params, history=history)
 
 
 def gradient_check(config, seed=0, ids=None):

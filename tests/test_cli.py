@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,61 @@ def test_scipy_is_loaded_only_where_training_runs(pipeline):
     assert done.stdout.splitlines()[-1] == "scipy loaded by []", done.stdout
 
 
+def test_extract_and_split_write_each_project_together(pipeline):
+    for key in ("data", "train", "holdout"):
+        names = [proj.name for proj in corpus.iter_projects(pipeline[key])]
+        assert names and len(names) == len(set(names)), key
+
+
+def _holdout_file(path, vocab, categories, n_projects, functions=30):
+    """n_projects projects of `functions` 60-token records over vocab."""
+    toks = vocab.tokens()
+    rng = np.random.default_rng(n_projects)
+    records = (
+        corpus.FunctionTokens(
+            project=f"p{p:04d}", function=f"fn{i}", category=categories[p % len(categories)],
+            tokens=[toks[int(j)] for j in rng.integers(2, len(toks), 60)],
+            descr_tokens=[toks[2]],
+        )
+        for p in range(n_projects)
+        for i in range(functions)
+    )
+    corpus.write_token_dataset(path, records)
+
+
+def test_eval_memory_follows_the_project_not_the_holdout(pipeline, capsys):
+    # eval reads, predicts and votes one project at a time: four times the
+    # projects (3,600 functions, as many as the benchmark's) cost about the
+    # same peak.  Holding the whole holdout took 10.3 MB at 900 functions
+    # and 13.0 MB at 3,600 (1.26x)
+    _, vocab, categories, _ = model.load_model(pipeline["nn"])
+    peaks = {}
+    for n_projects in (30, 120):
+        holdout = pipeline["work"] / f"holdout{n_projects}.jsonl"
+        _holdout_file(holdout, vocab, categories, n_projects)
+        tracemalloc.start()
+        try:
+            assert run("eval", pipeline["nn"], holdout, "--variant", "cd") == 0
+            peaks[n_projects] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[120] <= 1.2 * peaks[30], peaks
+
+
+def test_eval_rejects_a_project_split_across_the_holdout(pipeline, capsys):
+    holdout, _ = corpus.read_token_dataset(pipeline["holdout"])
+    first = holdout[0].project
+    moved = [r for r in holdout if r.project != first] + [holdout[0]]
+    path = pipeline["work"] / "scattered.jsonl"
+    corpus.write_token_dataset(path, [holdout[1]] + moved)
+    assert moved[0].project != first == holdout[1].project
+    assert run("eval", pipeline["lr"], path, "--variant", "co") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and repr(first) in err
+    assert "not contiguous" in err
+
+
 def test_eval_json_output(pipeline, capsys):
     assert run("--json", "eval", pipeline["nn"], pipeline["holdout"],
                "--variant", "co") == 0
@@ -207,6 +263,22 @@ def test_explain_writes_heatmap(pipeline, capsys):
     # the per-window activation column is the mean of the per-filter columns
     cells = rows[0].split(",")
     assert abs(float(cells[2]) - sum(map(float, cells[3:])) / 250) < 1e-12
+
+
+def test_explain_reads_the_dataset_up_to_the_target(pipeline, capsys):
+    # a line past the target is never parsed
+    holdout, _ = corpus.read_token_dataset(pipeline["holdout"])
+    target = holdout[0]
+    path = pipeline["work"] / "truncated.jsonl"
+    corpus.write_token_dataset(path, [target])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"project": "cut off')
+    heat = pipeline["work"] / "heat_truncated.csv"
+    assert run("explain", pipeline["nn"], path, f"{target.project}/{target.function}",
+               "-o", heat) == 0
+    assert run("explain", pipeline["nn"], path, "ghost/ghost_fn",
+               "-o", pipeline["work"] / "nope.csv") == 1
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_explain_rejects_lr_checkpoint(pipeline, capsys):

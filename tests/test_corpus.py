@@ -536,6 +536,56 @@ def _names(source):
     return [f.function_name for f in corpus.extract_functions(source).functions]
 
 
+def _dataset(path, projects_and_categories):
+    """A token dataset with one record per (project, category) pair, in order."""
+    records = [
+        corpus.FunctionTokens(project=project, function=f"f{i}", category=category,
+                              tokens=[project, f"f{i}"])
+        for i, (project, category) in enumerate(projects_and_categories)
+    ]
+    corpus.write_token_dataset(path, records, meta={"tool": "t"})
+    return records
+
+
+class TestIterProjects:
+    def test_groups_contiguous_records_in_file_order(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        records = _dataset(path, [("zed", "a"), ("zed", "a"), ("amp", "b"), ("mid", "a")])
+        projects = list(corpus.iter_projects(path))
+        assert [(p.name, p.category) for p in projects] == [
+            ("zed", "a"), ("amp", "b"), ("mid", "a")]
+        assert [p.functions for p in projects] == [records[:2], records[2:3], records[3:]]
+
+    def test_yields_a_project_before_reading_past_its_next_record(self, tmp_path):
+        # the line after the second project's first record is no JSON: the
+        # first project is handed over before the reader gets there
+        path = tmp_path / "data.jsonl"
+        _dataset(path, [("one", "a"), ("one", "a"), ("two", "b")])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        projects = corpus.iter_projects(path)
+        assert next(projects).name == "one"
+        with pytest.raises(ValueError, match="invalid JSON"):
+            next(projects)
+
+    def test_records_resuming_after_another_project_rejected(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        _dataset(path, [("alsa", "sound"), ("gzip", "util"), ("alsa", "sound")])
+        with pytest.raises(ValueError, match=r"data\.jsonl: .*'alsa'.*not contiguous"):
+            list(corpus.iter_projects(path))
+
+    def test_two_categories_for_one_project_rejected(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        _dataset(path, [("alsa", "sound"), ("alsa", "util")])
+        with pytest.raises(ValueError, match="'alsa' labeled both 'sound' and 'util'"):
+            list(corpus.iter_projects(path))
+
+    def test_empty_dataset_has_no_projects(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        _dataset(path, [])
+        assert list(corpus.iter_projects(path)) == []
+
+
 class TestDefinitionNames:
     def test_xmacro_rows_do_not_name_the_function(self):
         rows = "".join(f"MODULE_PARAM(x{i}, int)\n" for i in range(2000))

@@ -256,7 +256,11 @@ class TestEvaluateProjectLevel:
     def test_batched_matches_per_function_reference(self, variant, seed):
         projects, categories = _mixed_holdout(seed)
         predict = _noisy_predictor(len(categories), seed)
-        report, verdicts = E.evaluate_project_level(predict, projects, variant, categories)
+        report, verdicts = E.evaluate_project_level(
+            predict, iter(projects), variant, categories
+        )
+        # in project-name order: p0, p1, p10, p11, p2, ...
+        projects.sort(key=lambda p: p.name)
         want = _per_function_reference(predict, projects, variant, categories)
         assert verdicts == want
         gold = [p.category for p in projects]

@@ -268,6 +268,152 @@ class TestBatchLayout:
         assert err < 1e-4, f"max relative gradient error {err}"
 
 
+def full_window_reference(model, ids, onehot=None):
+    """The pass as it ran before the conv ran in blocks: the whole
+    (conv_len * B, kernel * dims) window matrix, one GEMM, and the conv
+    activations of every step, those the pool cuts included.  No dropout.
+
+    Returns (probs, A, grads): A is (conv_len, B, filters); grads, of the
+    mean cross-entropy against onehot, is None without onehot."""
+    cfg, p = model.config, model.params
+    dt = p["conv_w"].dtype
+    B = ids.shape[0]
+    K, D, F, U = cfg.kernel_size, cfg.embed_dims, cfg.filters, cfg.lstm_units
+    T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
+    at = np.arange(T)[:, None] + np.arange(K)
+    win_flat = model.table[ids.T[at].transpose(0, 2, 1)].reshape(T * B, K * D)
+    A = win_flat @ p["conv_w"].reshape(K * D, F)
+    A += p["conv_b"]
+    np.maximum(A, 0.0, out=A)
+    A = A.reshape(T, B, F)
+    slabs = [A[k : T2 * PS : PS] for k in range(PS)]
+    P = slabs[0].copy()
+    for slab in slabs[1:]:
+        np.maximum(P, slab, out=P)
+    half = np.ones(4 * U, dtype=dt)
+    half[: 2 * U] = 0.5
+    half[3 * U :] = 0.5
+    G = (P.reshape(T2 * B, F) @ (p["lstm_wx"] * half)).reshape(T2, B, 4 * U)
+    G += p["lstm_b"] * half
+    wh = p["lstm_wh"] * half
+    H = np.zeros((T2 + 1, B, U), dt)
+    C = np.zeros((T2 + 1, B, U), dt)
+    TC = np.zeros((T2, B, U), dt)
+    for t in range(T2):
+        z = G[t]
+        z += H[t] @ wh
+        np.tanh(z, out=z)
+        for sig in (z[:, : 2 * U], z[:, 3 * U :]):
+            sig += 1.0
+            sig *= 0.5
+        np.multiply(z[:, U : 2 * U], C[t], out=C[t + 1])
+        C[t + 1] += z[:, :U] * z[:, 2 * U : 3 * U]
+        np.tanh(C[t + 1], out=TC[t])
+        np.multiply(z[:, 3 * U :], TC[t], out=H[t + 1])
+    hid_pre = H[T2] @ p["hid_w"] + p["hid_b"]
+    Hd = np.maximum(hid_pre, 0.0)
+    probs = M.softmax(Hd @ p["out_w"] + p["out_b"])
+    if onehot is None:
+        return probs, A, None
+
+    grads = {}
+    dlogits = (probs - onehot.astype(dt)) / B
+    grads["out_w"] = Hd.T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
+    dhid_pre = (dlogits @ p["out_w"].T) * (hid_pre > 0.0)
+    grads["hid_w"] = H[T2].T @ dhid_pre
+    grads["hid_b"] = dhid_pre.sum(axis=0)
+    dh = dhid_pre @ p["hid_w"].T
+    dc = np.zeros_like(dh)
+    dG = np.empty_like(G)
+    for t in range(T2 - 1, -1, -1):
+        gi, gf, gg, go = (G[t][:, j * U : (j + 1) * U] for j in range(4))
+        dc += dh * go * (1.0 - TC[t] * TC[t])
+        dG[t] = np.concatenate([
+            dc * gg * gi * (1.0 - gi), dc * C[t] * gf * (1.0 - gf),
+            dc * gi * (1.0 - gg * gg), dh * TC[t] * go * (1.0 - go),
+        ], axis=1)
+        dc *= gf
+        dh = dG[t] @ p["lstm_wh"].T
+    dG = dG.reshape(T2 * B, 4 * U)
+    grads["lstm_wx"] = P.reshape(T2 * B, F).T @ dG
+    grads["lstm_wh"] = H[:T2].reshape(T2 * B, U).T @ dG
+    grads["lstm_b"] = dG.sum(axis=0)
+    dP = (dG @ p["lstm_wx"].T).reshape(T2, B, F) * (P > 0.0)
+    # each pool window's gradient goes to its first max; the cut steps get none
+    dZ = np.zeros((T, B, F), dt)
+    taken = np.zeros((T2, B, F), bool)
+    for k in range(PS):
+        first = (slabs[k] == P) & ~taken
+        taken |= first
+        dZ[k : T2 * PS : PS] = dP * first
+    dZ = dZ.reshape(T * B, F)
+    grads["conv_w"] = (win_flat.T @ dZ).reshape(K, D, F)
+    grads["conv_b"] = dZ.sum(axis=0)
+    return probs, A, grads
+
+
+def block_config(pool_size, seq_len):
+    """Narrow layers over sequences long enough for several conv blocks."""
+    return tiny_config(pool_size=pool_size, seq_len=seq_len, filters=6, lstm_units=5)
+
+
+# (pool_size, seq_len): conv_len even and odd at pool 2 and 3
+BLOCK_SHAPES = [(2, 60), (2, 61), (3, 59), (3, 60)]
+
+
+class TestConvBlocks:
+    """The conv runs CONV_BLOCK pooled steps at a time; it must compute what
+    the whole window matrix gave, the last, partial block and the steps the
+    pool cuts included."""
+
+    def test_shapes_span_several_blocks(self):
+        for pool_size, seq_len in BLOCK_SHAPES:
+            cfg = block_config(pool_size, seq_len)
+            # two blocks at least, the last one partial
+            assert cfg.pooled_len > M.CONV_BLOCK
+            assert cfg.pooled_len % M.CONV_BLOCK != 0
+        cut = {block_config(*shape).conv_len % shape[0] for shape in BLOCK_SHAPES}
+        assert 0 in cut and len(cut) > 1
+        assert {block_config(*shape).conv_len % 2 for shape in BLOCK_SHAPES} == {0, 1}
+
+    @pytest.mark.parametrize("rows", [1, 37, M.PASS_ROWS])
+    @pytest.mark.parametrize("pool_size,seq_len", BLOCK_SHAPES)
+    def test_predict_proba_matches_the_full_window_matrix(self, pool_size, seq_len, rows):
+        m = make_model(block_config(pool_size, seq_len), seed=21).astype(M.TRAIN_DTYPE)
+        ids = np.random.default_rng(rows).integers(0, 12, size=(rows, seq_len))
+        want, _, _ = full_window_reference(m, ids)
+        np.testing.assert_array_equal(M.predict_proba(m, ids, ws={}), want)
+
+    @pytest.mark.parametrize("pool_size,seq_len", BLOCK_SHAPES)
+    def test_conv_activations_match_the_full_window_matrix(self, pool_size, seq_len):
+        m = make_model(block_config(pool_size, seq_len), seed=22).astype(M.TRAIN_DTYPE)
+        ids = np.random.default_rng(22).integers(0, 12, size=seq_len)
+        _, want, _ = full_window_reference(m, ids[None, :])
+        got = M.conv_activations(m, ids)
+        assert got.shape == (m.config.conv_len, m.config.filters)
+        np.testing.assert_array_equal(got, want[:, 0])
+
+    @pytest.mark.parametrize("pool_size,seq_len", BLOCK_SHAPES)
+    def test_train_step_gradients_match_the_full_window_matrix(self, pool_size, seq_len):
+        m = make_model(block_config(pool_size, seq_len), seed=23).astype(M.TRAIN_DTYPE)
+        rng = np.random.default_rng(23)
+        rows = M.PASS_ROWS
+        ids = rng.integers(0, 12, size=(rows, seq_len))
+        onehot = np.zeros((rows, 3))
+        onehot[np.arange(rows), rng.integers(0, 3, rows)] = 1.0
+        _, _, want = full_window_reference(m, ids, onehot)
+        ws = {}
+        M.train_step(m, M.Adamax(m.config, m.params), ids, onehot, rng, ws=ws)
+        # the conv gradients are summed block by block, the reference's in
+        # one GEMM: equal to float32 rounding of the largest entry
+        tol = 64 * np.finfo(np.float32).eps
+        for name in M.PARAM_NAMES:
+            got = ws["sum_d" + name].reshape(want[name].shape)
+            np.testing.assert_allclose(got, want[name], rtol=tol,
+                                       atol=tol * np.abs(want[name]).max(), err_msg=name)
+
+
 def oracle_adamax(param, grads_seq, lr, b1, b2, eps):
     """Independent scalar-loop Adamax over a sequence of gradients."""
     param = param.copy()
@@ -496,7 +642,7 @@ class TestWorkspace:
                 peaks[key] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # 1.06 MB against 36.6 MB here: the gradients go into the workspace
+        # 0.61 MB against 15.8 MB here: the gradients go into the workspace
         # too, so what a warm step allocates is the small per-step temporaries
         assert peaks["warm"] <= peaks["fresh"] / 20, peaks
 
@@ -522,7 +668,7 @@ class TestWorkspace:
         ws = {}
         for ids, probs in zip(batches, want):
             np.testing.assert_array_equal(M.predict_proba(m, ids, ws=ws), probs)
-        assert {"win_flat", "A", "P", "wx_half", "wh_half", "G", "H", "C", "TC"} == set(ws)
+        assert {"win", "A", "P", "wx_half", "wh_half", "G", "H", "C", "TC"} == set(ws)
 
     def test_warm_predict_allocates_little(self):
         cfg = ClassifierConfig(num_categories=6)
@@ -541,17 +687,19 @@ class TestWorkspace:
                 peaks[key] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # 0.31 MB against 9.83 MB here: the LSTM weights with their gate
+        # 0.28 MB against 6.73 MB here: the LSTM weights with their gate
         # columns halved are written into the workspace too, so a warm call
         # allocates only per-pass temporaries such as the window index
         assert peaks["warm"] <= peaks["fresh"] / 20, peaks
 
     def test_workspace_size_at_the_default_config(self):
-        # batch 128 in float32, run as two passes of 64 rows: 17.1 MB of
-        # activations, since the gate, pool and conv gradients reuse the
-        # gate, pool and conv activations' buffers and the lookup writes the
-        # conv windows directly, plus the halved LSTM weights (0.6 MB) and
-        # the gradients summed over the passes (1.1 MB); then one
+        # batch 128 in float32, run as two passes of 64 rows: 10.9 MB of
+        # activations, since the conv runs in blocks of CONV_BLOCK pooled
+        # steps (its windows and activations are 2.3 MB, 8.2 MB for all
+        # steps) and the gate, pool and conv gradients reuse the gate, pool
+        # and conv activations' buffers, plus the halved LSTM weights
+        # (0.6 MB), the gradients summed over the passes (1.1 MB) and a
+        # block's conv_w gradient (0.3 MB): 12.8 MB; then one
         # parameter-sized buffer per pass gradient (1.1 MB)
         cfg = ClassifierConfig(num_categories=6)
         emb = np.random.default_rng(18).normal(size=(50, cfg.embed_dims))
@@ -563,7 +711,7 @@ class TestWorkspace:
         ws = {}
         M.train_step(m, M.Adamax(cfg, m.params), ids, onehot, rng, ws=ws)
         grads = {"d" + name for name in M.PARAM_NAMES}
-        assert sum(arr.nbytes for name, arr in ws.items() if name not in grads) < 20e6
+        assert sum(arr.nbytes for name, arr in ws.items() if name not in grads) < 13e6
         assert sum(ws[name].nbytes for name in grads) == sum(
             arr.nbytes for arr in m.params.values())
 
@@ -593,6 +741,25 @@ class TestFit:
         y = np.array([e.label for e in examples])
         acc = float(np.mean(M.predict_proba(best, X).argmax(axis=1) == y))
         assert acc > 0.9
+
+    def test_keeps_the_first_best_epoch(self):
+        # validation accuracy by epoch here: 0.75, 1.0, 1.0, 1.0, 0.917,
+        # 0.917; epoch k's parameters do not depend on how many follow it,
+        # so a run that stops after the first best epoch returns them too
+        def run(epochs):
+            cfg = tiny_config(num_categories=2, epochs=epochs, batch_size=16,
+                              learning_rate=0.02, dropout_level=0.25,
+                              validation_fraction=0.2, seed=9)
+            return M.fit(make_model(cfg, seed=9), synthetic_examples(cfg, seed=9,
+                                                                     projects_per_cat=5))
+
+        full = run(6)
+        acc, best = full.history["val_accuracy"], full.history["best_epoch"]
+        assert acc.count(acc[best]) > 1 and acc[-1] < acc[best]  # ties, then worse
+        stopped = run(best + 1)
+        assert stopped.history["val_accuracy"] == acc[: best + 1]
+        for n in M.PARAM_NAMES:
+            np.testing.assert_array_equal(full.params[n], stopped.params[n], err_msg=n)
 
     def test_fit_is_deterministic(self):
         cfg = tiny_config(num_categories=2, epochs=2, batch_size=16, seed=4)
@@ -659,7 +826,7 @@ class TestTrainingPrecision:
         onehot[np.arange(4), rng.integers(0, 3, 4)] = 1.0
         _, cache = M._forward(m32, ids, rng=rng, want_cache=True)
         for name, arr in cache.items():
-            if name != "pool_mask":
+            if name not in ("pool_mask", "ids"):
                 assert arr.dtype == np.float32, name
         grads = M._backward(m32, cache, onehot)
         for name, grad in grads.items():
