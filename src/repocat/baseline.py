@@ -12,6 +12,7 @@ imported only there; prediction scatters them into a dense matrix.
 `LogregConfig` holds the settings, the run configuration's ``lr.*`` keys.
 """
 
+import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -80,13 +81,10 @@ class BowVocabulary:
 
 
 def bow_features(tokens, vocab):
-    """Sparse count features: {feature index: count} over the full sequence."""
-    out = {}
-    for token in tokens:
-        idx = vocab.index_of(token)
-        if idx >= 0:
-            out[idx] = out.get(idx, 0) + 1
-    return out
+    """Sparse count features of one token sequence: {feature index: count}
+    over the full sequence, in feature order (a row of `features_matrix`)."""
+    row = features_matrix([tokens], vocab)
+    return dict(zip(row.indices.tolist(), row.data.astype(np.int64).tolist()))
 
 
 @dataclass
@@ -111,16 +109,22 @@ class BowCounts:
 
 
 def features_matrix(token_streams, vocab):
-    """Bag-of-words counts of N token streams, as (N, len(vocab)) BowCounts."""
-    data, indices, indptr = [], [], [0]
-    for stream in token_streams:
-        feats = bow_features(stream, vocab)
-        cols = sorted(feats)
-        indices.extend(cols)
-        data.extend(feats[idx] for idx in cols)
-        indptr.append(len(indices))
-    return BowCounts(np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
-                     np.array(indptr, dtype=np.int64), len(vocab))
+    """Bag-of-words counts of N token streams, as (N, len(vocab)) BowCounts.
+
+    Every token of every stream is looked up once; np.unique then counts
+    the (row, feature) pairs of the tokens in the vocabulary, in CSR order."""
+    streams = list(token_streams)
+    lengths = np.fromiter(map(len, streams), dtype=np.int64, count=len(streams))
+    cols = np.fromiter(
+        map(vocab._index.get, itertools.chain.from_iterable(streams), itertools.repeat(-1)),
+        dtype=np.int64, count=int(lengths.sum()),
+    )
+    rows = np.repeat(np.arange(len(streams)), lengths)
+    known = cols >= 0
+    keys, counts = np.unique(rows[known] * len(vocab) + cols[known], return_counts=True)
+    indptr = np.zeros(len(streams) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // len(vocab), minlength=len(streams)), out=indptr[1:])
+    return BowCounts(counts.astype(np.float64), keys % len(vocab), indptr, len(vocab))
 
 
 @dataclass

@@ -439,12 +439,15 @@ def cmd_train_lr(args, cfg):
 def _load_predictor(path):
     """(predict_batch, categories, kind) from either checkpoint flavor, read
     once; predict_batch maps N token lists to (N, C) probabilities.  `eval`
-    calls it once per project, as `corpus.iter_projects` reads each one.
-    The network comes from `model.from_checkpoint`, so it predicts in
-    model.TRAIN_DTYPE, the precision `fit` trains it in and picks its
-    epoch by, and runs every call's forward passes in one workspace
-    (`model._buf`), whose size follows the pass (at most model.PASS_ROWS
-    rows), not the project or the holdout; so calls must not overlap."""
+    calls it once per run of consecutive projects, as many whole projects
+    as fit in model.PASS_ROWS rows (a larger project alone), as
+    `corpus.iter_projects` reads them.  The network comes from
+    `model.from_checkpoint`, so it predicts in model.TRAIN_DTYPE, the
+    precision `fit` trains it in and picks its epoch by, and runs every
+    call's forward passes in one workspace (`model._buf`), whose size
+    follows the pass (at most model.PASS_ROWS rows, one CONV_BLOCK block of
+    steps at a time), not the project or the holdout; so calls must not
+    overlap."""
     meta, arrays = checkpoint.load_checkpoint(path)
     kind = meta.get("kind")
     if kind == "nn":
@@ -469,8 +472,9 @@ def _load_predictor(path):
 
 def cmd_eval(args, cfg):
     predict, categories, kind = _load_predictor(args.model)
-    # the holdout streams in: each project is predicted and voted as soon
-    # as its records are read, and none is held after its verdict
+    # the holdout streams in: projects are predicted a pass's worth at a
+    # time and voted as soon as their call returns, and none is held after
+    # its verdict
     report, verdicts = evaluation.evaluate_project_level(
         predict, corpus.iter_projects(args.holdout), args.variant, categories
     )

@@ -147,11 +147,12 @@ def build_cooccurrence(sentences, config):
     np.unique.  The offsets' weights are summed into a running table of
     distinct keys, sorted, so the entries come out in (target, context)
     order.  The offsets wait in a pending list until they hold as many keys
-    as the table; then one np.unique over the table and the pending keys,
-    and one np.bincount with the table's values first, merge them.  Memory
-    follows the distinct pairs, not the pair occurrences, and since
-    bincount adds in array order, every count is summed over offsets
-    1, 2, ... in turn, as one merge at the end would sum it.
+    as the table; then a stable sort of the table and the pending keys,
+    each a sorted run, merges them, and one np.bincount with the table's
+    values first sums them.  Memory follows the distinct pairs, not the
+    pair occurrences, and since bincount adds in array order, every count
+    is summed over offsets 1, 2, ... in turn, as one merge at the end would
+    sum it.
     """
     config.validate()
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
@@ -167,12 +168,21 @@ def build_cooccurrence(sentences, config):
     pending_keys, pending_weights = [], []
 
     def merge():
-        merged, slot = np.unique(np.concatenate([keys] + pending_keys), return_inverse=True)
-        sums = np.bincount(slot, weights=np.concatenate([values] + pending_weights),
-                           minlength=len(merged))
+        # the table and each pending offset are sorted runs of distinct
+        # keys, which a stable sort (a timsort) merges run by run instead of
+        # sorting them afresh; the weights go to bincount in array order
+        merged = np.concatenate([keys] + pending_keys)
+        order = np.argsort(merged, kind="stable")
+        merged = merged[order]
+        first = np.empty(len(merged), dtype=bool)
+        first[:1] = True
+        np.not_equal(merged[1:], merged[:-1], out=first[1:])
+        slot = np.empty(len(merged), dtype=np.int64)
+        slot[order] = np.cumsum(first) - 1
+        sums = np.bincount(slot, weights=np.concatenate([values] + pending_weights))
         pending_keys.clear()
         pending_weights.clear()
-        return merged, sums
+        return merged[first], sums
 
     for j in range(1, min(config.window, int(pos.max(initial=0))) + 1):
         inside = pos[j:] >= j

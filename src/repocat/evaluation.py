@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import fileio, tokens
+from . import fileio, model, tokens
 
 
 @dataclass
@@ -147,12 +147,15 @@ def evaluate_project_level(predict_batch, holdout_projects, variant, categories)
 
     predict_batch maps a list of N token lists to an (N, C) array of
     probabilities over category indices (aligned with `categories`).
-    `holdout_projects` is any iterable of Projects, read once: each
-    project's functions are represented under `variant` ("co" or "cd") and
-    predicted in one call, and their predictions are voted before the next
-    project is taken, so a stream of projects is held one at a time.  The
-    verdicts, sorted by project name (ties keep their order), are scored
-    against the gold categories.
+    `holdout_projects` is any iterable of Projects, read once.  Each
+    project's functions are represented under `variant` ("co" or "cd"), and
+    consecutive projects are predicted together, as many whole projects as
+    fit in model.PASS_ROWS rows (a larger project alone), so a call fills
+    the network's forward passes however small the projects are.  Each
+    project is voted on its own rows of the call's result before the next
+    projects are taken, so a stream of projects is held a call at a time.
+    The verdicts, sorted by project name (ties keep their order), are
+    scored against the gold categories.
 
     Returns (MetricsReport, [ProjectVerdict]), both in project-name order.
     """
@@ -160,6 +163,26 @@ def evaluate_project_level(predict_batch, holdout_projects, variant, categories)
         raise ValueError(f"unknown representation variant: {variant!r}")
     index_of = {cat: i for i, cat in enumerate(categories)}
     verdicts = []
+    waiting = []  # (project name, gold index, token streams) for the next call
+
+    def predict_waiting():
+        streams = [s for _, _, project_streams in waiting for s in project_streams]
+        probs = predict_batch(streams) if streams else np.empty((0, len(categories)))
+        if probs.shape != (len(streams), len(categories)):
+            raise ValueError(
+                f"predictor returned shape {probs.shape} for {len(streams)} "
+                f"functions over {len(categories)} categories"
+            )
+        lo = 0
+        for name, gold, project_streams in waiting:
+            hi = lo + len(project_streams)
+            verdict = vote([Prediction(row) for row in probs[lo:hi]], project=name)
+            verdict.gold = gold
+            verdicts.append(verdict)
+            lo = hi
+        waiting.clear()
+
+    rows = 0
     for project in holdout_projects:
         if project.category not in index_of:
             raise ValueError(
@@ -169,15 +192,13 @@ def evaluate_project_level(predict_batch, holdout_projects, variant, categories)
             tokens.variant_tokens(func.tokens, func.descr_tokens, variant)
             for func in project.functions
         ]
-        probs = predict_batch(streams) if streams else np.empty((0, len(categories)))
-        if probs.shape != (len(streams), len(categories)):
-            raise ValueError(
-                f"predictor returned shape {probs.shape} for {len(streams)} "
-                f"functions over {len(categories)} categories"
-            )
-        verdict = vote([Prediction(row) for row in probs], project=project.name)
-        verdict.gold = index_of[project.category]
-        verdicts.append(verdict)
+        if waiting and rows + len(streams) > model.PASS_ROWS:
+            predict_waiting()
+            rows = 0
+        waiting.append((project.name, index_of[project.category], streams))
+        rows += len(streams)
+    if waiting:
+        predict_waiting()
     if not verdicts:
         raise ValueError("no held-out projects to evaluate")
     verdicts.sort(key=lambda v: v.project)

@@ -18,18 +18,26 @@ float64's resolution.
 
 The forward and backward passes run time-major: the conv, pool and LSTM
 activations are (steps, batch, width), so every time step is one
-contiguous block and the pool reads whole-step slabs.  The conv runs in
-blocks of CONV_BLOCK pooled steps: the lookup gathers a block's conv
-windows from the table straight into a (block steps * batch, kernel *
-dims) window matrix, one GEMM gives the block's activations, and the pool
-reduces them into the pool activations at once.  So no pass holds the
-windows or conv activations of all its steps, and the conv steps that the
-pool cuts (conv_len % pool_size of them) are not computed.  The backward
-pass walks the same blocks, gathering each block's windows again for its
-share of the conv weight gradient.  The sigmoid gates i, f and o are
-computed as 0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight
-and bias columns (exact in binary), so one tanh per step covers all four
-gates.
+contiguous block and the pool reads whole-step slabs.  The forward pass
+streams through time in blocks of CONV_BLOCK pooled steps.  For each block
+the lookup gathers the block's conv windows from the table straight into a
+(block steps * batch, kernel * dims) window matrix; one GEMM gives the
+block's conv pre-activations, and the pool reduces them at once.  The conv
+bias and the ReLU then run on the pooled values, which is exact since the
+max commutes with both; one GEMM projects the block into the LSTM's gates;
+and the LSTM runs the block's steps.  The conv steps that the pool cuts
+(conv_len % pool_size of them) are not computed.  A prediction pass holds
+one block of pool activations and gates and the current LSTM state only.
+A training pass keeps every step's for the backward pass, which walks the
+same conv blocks, gathering each block's windows again for its share of
+the conv weight gradient.  The sigmoid gates i, f and o are computed as
+0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight and bias
+columns (exact in binary), so one tanh per step covers all four gates.
+That tanh writes a step's gates over the step's projection gate-major,
+(4, batch, units), so each gate is one contiguous block; the backward
+pass builds a step's gate gradients gate by gate in a (4, batch, units)
+buffer and writes them back over the gates in the (batch, 4 * units)
+order of the weights.
 
 Every forward pass runs at most PASS_ROWS rows: `predict_proba` splits
 its input, and `train_step` its batch, into consecutive passes.  A train
@@ -49,12 +57,12 @@ in place.  Each is one flat array that only grows, so a smaller pass runs
 in the leading part of the memory a full one left.  The backward pass
 writes the gate gradient over the gates in `G`, the pool gradient into the
 pool activations' buffer `P` and each block's conv gradient into the conv
-activations' buffer `A`, as it stops reading each.  At the default config
-the workspace holds 13.9 MB after a batch-128 step, and a 30-row
-prediction pass 4.9 MB.  A step
-on a warm workspace allocates no multi-MB array, so it does not
-page-fault in memory that the allocator gave back to the kernel after the
-step before.
+activations' buffer `A`, as it stops reading each; the pool mask holds
+the ReLU's gradient mask too.  At the default config the workspace holds
+13.8 MB after a batch-128 step, and a 64-row prediction pass 4.4 MB
+(2.4 MB at 30 rows).  A step on a warm workspace allocates no multi-MB
+array, so it does not page-fault in memory that the allocator gave back
+to the kernel after the step before.
 `predict_proba` takes a workspace too: `fit`'s validation passes use the
 training one, and `eval` holds one for all its calls.  An array from a
 workspace, and so a cache that holds one, is valid only until the next
@@ -95,25 +103,27 @@ from .tokens import Vocabulary
 logger = logging.getLogger(__name__)
 
 # Rows per forward pass, in training and in prediction; activations grow
-# with rows.  Measured in TRAIN_DTYPE (2-CPU Xeon, NumPy 2.4.6, OpenBLAS):
-# predict_proba on the 3,600 `cd` rows of a `categorize` fixture took
-# 0.64 s at 64 rows against 0.70 s at 32 (best of 5), peaking at 16.2 MB of
-# tracemalloc memory against 8.5 MB with a fresh workspace.  A batch-128
-# train step in two 64-row passes took 60-61 ms against 55 ms in one (best
-# of 9), and left a 19.8 MB workspace against 37.0 MB.  Since the conv runs
-# in CONV_BLOCK blocks, a 64-row prediction pass leaves a 9.9 MB workspace
-# (15.8 MB before) and a batch-128 train step 13.9 MB.
+# with rows, and `evaluation.evaluate_project_level` packs whole projects
+# into calls of up to this many rows.  Measured in TRAIN_DTYPE (2-CPU Xeon,
+# NumPy 2.4.6, OpenBLAS): predict_proba on the 3,600 `cd` rows of a
+# `categorize` fixture took 0.39-0.41 s at 64 rows against 0.47-0.51 s at
+# 32 (best of 5), peaking at 4.7 MB of tracemalloc memory against 2.7 MB
+# with a fresh workspace.  A batch-128 train step in two 64-row passes took
+# 60-61 ms against 55 ms in one (best of 9), when a pass still held every
+# step's conv activations.  A 64-row prediction pass leaves a 4.4 MB
+# workspace, and a batch-128 train step 13.8 MB.
 PASS_ROWS = 64
 
-# Pooled steps per conv block: the forward pass gathers, convolves and pools
-# this many pool windows at a time, and the backward pass walks the same
-# blocks.  At the stock shapes in TRAIN_DTYPE (2-CPU Xeon, NumPy 2.4.6,
-# OpenBLAS; median of 15 best-of-10 timings), the conv and pool of a 64-row
-# pass took 3.19 ms in blocks of 8 against 3.12 ms in one block of all 29
-# (block 4: 3.42, block 16: 3.13), and the conv weight gradient with its
-# re-gather 3.27 against 3.17 ms (block 4: 3.38); at 30 rows 1.55 against
-# 1.48 ms forward.  A block of 8 holds 2.3 MB of windows and activations at
-# 64 rows, against 8.2 MB for all steps.
+# Pooled steps per block of the forward pass: it gathers, convolves, pools,
+# projects and runs the LSTM over this many pool windows at a time, and the
+# backward pass walks the same conv blocks.  At the stock shapes in
+# TRAIN_DTYPE (2-CPU Xeon, NumPy 2.4.6, OpenBLAS; median of 15 best-of-10
+# timings), the conv and pool of a 64-row pass took 3.19 ms in blocks of 8
+# against 3.12 ms in one block of all 29 (block 4: 3.42, block 16: 3.13),
+# and the conv weight gradient with its re-gather 3.27 against 3.17 ms
+# (block 4: 3.38); at 30 rows 1.55 against 1.48 ms forward.  A block of 8
+# holds 2.3 MB of windows and conv activations at 64 rows, against 8.2 MB
+# for all steps, and 1.3 MB of pool activations and gates, against 4.8 MB.
 CONV_BLOCK = 8
 
 # The precision of every fitted or loaded network.  A batch-128 train step
@@ -343,14 +353,12 @@ def _windows(model, ids, t0, t1, ws):
 
 
 def _conv(model, ids, t0, t1, ws):
-    """Post-ReLU conv activations of steps t0 .. t1-1 of (B, seq_len) ids:
-    (t1 - t0, B, filters), in the workspace buffer "A"."""
-    p = model.params
+    """Conv pre-activations of steps t0 .. t1-1 of (B, seq_len) ids, without
+    the bias: (t1 - t0, B, filters), in the workspace buffer "A"."""
     F = model.config.filters
     win = _windows(model, ids, t0, t1, ws)
-    A = np.matmul(win, p["conv_w"].reshape(-1, F), out=_buf(ws, "A", (len(win), F), win.dtype))
-    A += p["conv_b"]
-    np.maximum(A, 0.0, out=A)  # ReLU in place
+    A = np.matmul(win, model.params["conv_w"].reshape(-1, F),
+                  out=_buf(ws, "A", (len(win), F), win.dtype))
     return A.reshape(t1 - t0, ids.shape[0], F)
 
 
@@ -360,12 +368,14 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     Dropout applies, drawing from `rng`, exactly when an rng is given.
     Runs time-major: activations are (steps, B, width), so each time step is
     one contiguous block.  Returns (probs, cache); cache is None unless
-    want_cache.  The conv runs in blocks of CONV_BLOCK pooled steps, each
-    pooled as soon as it is computed, so only the pool activations of all
-    steps exist; without a cache they are dropped once the LSTM's input
-    projection has consumed them.  The large activations are taken from the
-    workspace `ws` (see `_buf`), so the cache is valid only until the next
-    call with that workspace.
+    want_cache.  The pass streams through time in blocks of CONV_BLOCK
+    pooled steps: each block is convolved, pooled, projected into the LSTM's
+    gates and run through its LSTM steps before the next block starts.  A
+    cached pass keeps every step's pool activations, gates and state for
+    the backward pass; a prediction pass keeps one block of them and the
+    current state.  The large activations are taken from the workspace `ws`
+    (see `_buf`), so the cache is valid only until the next call with that
+    workspace.
     """
     cfg = model.config
     ids = _checked_ids(model, ids)
@@ -373,21 +383,44 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     B = ids.shape[0]
     F, U = cfg.filters, cfg.lstm_units
     T2, PS = cfg.pooled_len, cfg.pool_size
-
     dt = p["conv_w"].dtype
-    # the conv runs CONV_BLOCK pooled steps at a time, and each block is
-    # max-pooled straight into P, so no pass holds the window matrix or the
-    # conv activations of all its steps; the steps from T2*PS on, which the
-    # pool cuts, are never computed
-    P = _buf(ws, "P", (T2, B, F), dt)
-    pool_mask = _buf(ws, "pool_mask", (PS, T2, B, F), bool) if want_cache else None
+
+    # the sigmoid gates i, f, o are 0.5 * (1 + tanh(z / 2)); halving their
+    # weight and bias columns (exact in binary) lets one tanh per step cover
+    # all four gates
+    half = np.ones(4 * U, dtype=dt)
+    half[: 2 * U] = 0.5
+    half[3 * U :] = 0.5
+    wx = np.multiply(p["lstm_wx"], half, out=_buf(ws, "wx_half", (F, 4 * U), dt))
+    wh = np.multiply(p["lstm_wh"], half, out=_buf(ws, "wh_half", (U, 4 * U), dt))
+    b_half = p["lstm_b"] * half
+
+    # a cached pass indexes P, G and TC by step and H, C by the step they
+    # enter (H[T2] is the output); a prediction pass holds one block of P
+    # and G, and one step of H, C and TC, which each step updates in place
+    if want_cache:
+        n_steps = T2
+        pool_mask = _buf(ws, "pool_mask", (PS, T2, B, F), bool)
+    else:
+        n_steps = min(CONV_BLOCK, T2)
+    P = _buf(ws, "P", (n_steps, B, F), dt)
+    G = _buf(ws, "G", (n_steps, B, 4 * U), dt)
+    H = _buf(ws, "H", (T2 + 1 if want_cache else 1, B, U), dt)
+    C = _buf(ws, "C", H.shape, dt)
+    TC = _buf(ws, "TC", (T2 if want_cache else 1, B, U), dt)
+    z = _buf(ws, "z", (B, 4, U), dt)
+    H[0] = 0.0
+    C[0] = 0.0
     for j0 in range(0, T2, CONV_BLOCK):
         j1 = min(j0 + CONV_BLOCK, T2)
+        at = slice(j0, j1) if want_cache else slice(0, j1 - j0)
+        P_blk, G_blk = P[at], G[at]
+        # the block's conv steps, max-pooled straight into P: pool window j
+        # covers the block's steps j*PS .. j*PS+PS-1, slab k holds step k of
+        # every window; the steps from T2*PS on, which the pool cuts, are
+        # never computed
         A = _conv(model, ids, j0 * PS, j1 * PS, ws)
-        # pool window j covers the block's steps j*PS .. j*PS+PS-1; slab k
-        # holds step k of every window
         slabs = [A[k::PS] for k in range(PS)]
-        P_blk = P[j0:j1]
         np.copyto(P_blk, slabs[0])
         for slab in slabs[1:]:
             np.maximum(P_blk, slab, out=P_blk)
@@ -403,47 +436,36 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
                 # on bools, a > b is a and not b
                 np.greater(mask[k], taken, out=mask[k])
                 taken |= mask[k]
-    del A, slabs, P_blk
+        # the bias and the ReLU are monotone, so they commute with the max
+        # exactly and run on the pooled values only
+        P_blk += p["conv_b"]
+        np.maximum(P_blk, 0.0, out=P_blk)
+        if want_cache:
+            # the ReLU's gradient mask folds into the pool's
+            mask &= np.greater(P_blk, 0.0, out=taken)
+        np.matmul(P_blk.reshape(-1, F), wx, out=G_blk.reshape(-1, 4 * U))
+        G_blk += b_half
+        for t in range(j0, j1):
+            s, s1 = (t, t + 1) if want_cache else (0, 0)
+            g = G_blk[t - j0]
+            np.matmul(H[s], wh, out=z.reshape(B, 4 * U))
+            z += g.reshape(B, 4, U)
+            # the step's gates overwrite its projection gate-major, (4, B,
+            # U), so each gate is one contiguous block
+            gates = g.reshape(4, B, U)
+            np.tanh(z.transpose(1, 0, 2), out=gates)
+            gi, gf, gg, go = gates
+            for sig in (gates[:2], go):
+                sig += 1.0
+                sig *= 0.5
+            np.multiply(gf, C[s], out=C[s1])
+            C[s1] += gi * gg
+            np.tanh(C[s1], out=TC[s])
+            np.multiply(go, TC[s], out=H[s1])
 
-    # the sigmoid gates i, f, o are 0.5 * (1 + tanh(z / 2)); halving their
-    # weight and bias columns (exact in binary) lets one tanh per step cover
-    # all four gates
-    half = np.ones(4 * U, dtype=dt)
-    half[: 2 * U] = 0.5
-    half[3 * U :] = 0.5
-    wx = np.multiply(p["lstm_wx"], half, out=_buf(ws, "wx_half", (F, 4 * U), dt))
-    wh = np.multiply(p["lstm_wh"], half, out=_buf(ws, "wh_half", (U, 4 * U), dt))
-    # input projection for every step at once; the loop turns each step's
-    # block into that step's gate activations in place
-    G = _buf(ws, "G", (T2, B, 4 * U), dt)
-    np.matmul(P.reshape(T2 * B, F), wx, out=G.reshape(T2 * B, 4 * U))
-    G += p["lstm_b"] * half
-    if not want_cache:
-        del P
-    # H[t], C[t]: hidden and cell state entering step t; H[T2] is the output.
-    # The loop writes every later step, so only step 0 is zeroed.
-    H = _buf(ws, "H", (T2 + 1, B, U), dt)
-    C = _buf(ws, "C", (T2 + 1, B, U), dt)
-    H[0] = 0.0
-    C[0] = 0.0
-    TC = _buf(ws, "TC", (T2, B, U), dt)
-    for t in range(T2):
-        z = G[t]
-        z += H[t] @ wh
-        np.tanh(z, out=z)
-        for sig in (z[:, : 2 * U], z[:, 3 * U :]):
-            sig += 1.0
-            sig *= 0.5
-        np.multiply(z[:, U : 2 * U], C[t], out=C[t + 1])
-        C[t + 1] += z[:, :U] * z[:, 2 * U : 3 * U]
-        np.tanh(C[t + 1], out=TC[t])
-        np.multiply(z[:, 3 * U :], TC[t], out=H[t + 1])
-    if not want_cache:
-        del G
-
-    hid_pre = H[T2] @ p["hid_w"]
-    hid_pre += p["hid_b"]
-    Hd = np.maximum(hid_pre, 0.0)
+    Hd = H[-1] @ p["hid_w"]
+    Hd += p["hid_b"]
+    np.maximum(Hd, 0.0, out=Hd)  # ReLU in place
     mask = None
     if rng is not None and cfg.dropout_level > 0.0:
         keep = 1.0 - cfg.dropout_level
@@ -458,7 +480,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
         cache = {
             "ids": ids, "pool_mask": pool_mask, "P": P,
             "G": G, "H": H, "C": C, "TC": TC,
-            "hid_pre": hid_pre, "mask": mask, "Hd": Hd, "probs": probs,
+            "mask": mask, "Hd": Hd, "probs": probs,
         }
     return probs, cache
 
@@ -478,61 +500,63 @@ def _backward(model, cache, onehot, ws=None, batch_rows=None):
     B = onehot.shape[0]
     F, U = cfg.filters, cfg.lstm_units
     T2, PS = cfg.pooled_len, cfg.pool_size
+    # the bias gradients are column sums, taken as GEMMs with a ones row
+    ones = np.ones(max(T2, min(CONV_BLOCK, T2) * PS) * B, dt)
 
     dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / (batch_rows or B)
     grads = {name: _buf(ws, "d" + name, shape, dt)
              for name, shape in param_shapes(cfg).items()}
     np.matmul(cache["Hd"].T, dlogits, out=grads["out_w"])
     np.sum(dlogits, axis=0, out=grads["out_b"])
-    # the dense layer's gradient, through dropout and ReLU, in one array
+    # the dense layer's gradient, through dropout and ReLU, in one array;
+    # Hd > 0 exactly where the ReLU passed a unit that dropout kept, and
+    # the dropout mask has already zeroed the units it dropped
     dhid_pre = dlogits @ p["out_w"].T
     if cache["mask"] is not None:
         dhid_pre *= cache["mask"]
-    dhid_pre *= cache["hid_pre"] > 0.0
+    dhid_pre *= cache["Hd"] > 0.0
     H, C, G, TC = cache["H"], cache["C"], cache["G"], cache["TC"]
     np.matmul(H[T2].T, dhid_pre, out=grads["hid_w"])
     np.sum(dhid_pre, axis=0, out=grads["hid_b"])
 
-    # the loop only carries dh/dc back through time; once it has read a
-    # step's gates it writes that step's gate-input gradient over them in
-    # G, and the weight gradients are one matmul each over all steps
-    # afterwards
+    # the loop only carries dh/dc back through time.  It reads a step's
+    # gates gate-major, as the forward pass left them, builds their input
+    # gradient gate by gate in a (4, B, U) buffer and writes it over them in
+    # G in the (B, 4U) order of the weights; the weight gradients are one
+    # matmul each over all steps afterwards
     dh = dhid_pre @ p["hid_w"].T
     del dhid_pre
     dc = np.zeros_like(dh)
+    wh_t = _buf(ws, "wh_t", (4 * U, U), dt)
+    np.copyto(wh_t, p["lstm_wh"].T)
+    dgates = _buf(ws, "dgates", (4, B, U), dt)
+    di, df, dg, do = dgates
     for t in range(T2 - 1, -1, -1):
-        g = G[t]
-        gi, gf, gg, go = g[:, :U], g[:, U : 2 * U], g[:, 2 * U : 3 * U], g[:, 3 * U :]
+        gi, gf, gg, go = G[t].reshape(4, B, U)
         tc = TC[t]
         dc += dh * go * (1.0 - tc * tc)
-        # each gate slot is overwritten only after the last read of it
-        di = dc * gg * gi * (1.0 - gi)
-        df = dc * C[t] * gf * (1.0 - gf)
-        go[...] = dh * tc * go * (1.0 - go)
-        gg[...] = dc * gi * (1.0 - gg * gg)
-        gi[...] = di
+        np.multiply(dc * gg * gi, 1.0 - gi, out=di)
+        np.multiply(dc * C[t] * gf, 1.0 - gf, out=df)
+        np.multiply(dc * gi, 1.0 - gg * gg, out=dg)
+        np.multiply(dh * tc * go, 1.0 - go, out=do)
         dc *= gf
-        gf[...] = df
-        dh = g @ p["lstm_wh"].T
+        np.copyto(G[t].reshape(B, 4, U), dgates.transpose(1, 0, 2))
+        np.matmul(G[t], wh_t, out=dh)
     dG = G.reshape(T2 * B, 4 * U)
     P = cache["P"]
     np.matmul(P.reshape(T2 * B, F).T, dG, out=grads["lstm_wx"])
     np.matmul(H[:T2].reshape(T2 * B, U).T, dG, out=grads["lstm_wh"])
-    np.sum(dG, axis=0, out=grads["lstm_b"])
-    # ReLU: the position a window picked holds A == P, so A > 0 there
-    # exactly when P > 0
-    relu = _buf(ws, "relu", (T2, B, F), bool)
-    np.greater(P, 0.0, out=relu)
+    np.matmul(ones[: T2 * B], dG, out=grads["lstm_b"])
     # nothing reads P again: the pool gradient dP overwrites it
     dP = P
     np.matmul(dG, p["lstm_wx"].T, out=dP.reshape(T2 * B, F))
     del dG
-    dP *= relu
 
     # the conv gradient, block by block as the forward pass ran: re-gather
     # the block's windows, un-pool its share of dP into dZ (in the conv
-    # activations' buffer "A"), and add its share of the conv_w and conv_b
-    # gradients; the steps the pool cut have none
+    # activations' buffer "A") through the pool mask, which holds the ReLU's
+    # too, and add its share of the conv_w and conv_b gradients; the steps
+    # the pool cut have none
     dconv_w = grads["conv_w"].reshape(-1, F)
     for j0 in range(0, T2, CONV_BLOCK):
         j1 = min(j0 + CONV_BLOCK, T2)
@@ -543,10 +567,10 @@ def _backward(model, cache, onehot, ws=None, batch_rows=None):
         dZ = dZ.reshape(-1, F)
         if j0 == 0:
             np.matmul(win.T, dZ, out=dconv_w)
-            np.sum(dZ, axis=0, out=grads["conv_b"])
+            np.matmul(ones[: len(dZ)], dZ, out=grads["conv_b"])
         else:
             dconv_w += np.matmul(win.T, dZ, out=_buf(ws, "dconv_w_blk", dconv_w.shape, dt))
-            grads["conv_b"] += dZ.sum(axis=0)
+            grads["conv_b"] += ones[: len(dZ)] @ dZ
     return grads
 
 
@@ -616,7 +640,9 @@ def predict_proba(model, ids, ws=None):
 def conv_activations(model, ids):
     """Post-ReLU convolution activations for one sequence: (conv_len, filters)."""
     ids = _checked_ids(model, np.asarray(ids)[None, :])
-    return _conv(model, ids, 0, model.config.conv_len, None)[:, 0]
+    A = _conv(model, ids, 0, model.config.conv_len, None)[:, 0]
+    A += model.params["conv_b"]
+    return np.maximum(A, 0.0, out=A)
 
 
 @dataclass

@@ -66,6 +66,31 @@ class TestBowFeatures:
         np.testing.assert_array_equal(X.indices, [1, 3, 0, 2])
         np.testing.assert_array_equal(X.data, [1.0, 2.0, 2.0, 1.0])
 
+    def test_matches_a_per_stream_count_byte_for_byte(self):
+        # the row-at-a-time build features_matrix replaced: one dict of
+        # counts per stream, its columns sorted
+        rng = np.random.default_rng(1)
+        vocab = B.BowVocabulary([f"t{i}" for i in range(0, 30, 2)])
+        streams = [[f"t{int(i)}" for i in rng.integers(0, 40, int(n))]
+                   for n in rng.integers(0, 90, 48)]
+        streams[10:10] = [[], ["t1", "t3", "t1"]]  # empty, and out of vocabulary
+        data, indices, indptr = [], [], [0]
+        for stream in streams:
+            counts = {}
+            for token in stream:
+                idx = vocab.index_of(token)
+                if idx >= 0:
+                    counts[idx] = counts.get(idx, 0) + 1
+            indices.extend(sorted(counts))
+            data.extend(counts[i] for i in sorted(counts))
+            indptr.append(len(indices))
+        X = B.features_matrix(iter(streams), vocab)
+        for got, want in ((X.data, np.array(data, dtype=np.float64)),
+                          (X.indices, np.array(indices, dtype=np.int64)),
+                          (X.indptr, np.array(indptr, dtype=np.int64))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert X.shape == (50, 15)
+
     def test_every_bow_column_occurs_in_training(self):
         # train lr sizes its matrix by len(vocab): no column is left empty
         rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repocat import evaluation as E
+from repocat import model as M
 from repocat import tokens as T
 from repocat.corpus import FunctionTokens, Project
 from repocat.evaluation import Prediction
@@ -194,12 +195,13 @@ def _per_function_reference(predict_batch, projects, variant, categories):
     return verdicts
 
 
-def _mixed_holdout(seed, n_projects=12):
-    """Projects of 1-9 functions over random tokens from three categories."""
+def _mixed_holdout(seed, n_projects=12, sizes=None):
+    """Projects of 1-9 functions (or of the given sizes) over random tokens
+    from three categories."""
     rng = np.random.default_rng(seed)
     categories = ["games", "sound", "science"]
     projects = []
-    for p in range(n_projects):
+    for p, size in enumerate(sizes or [None] * n_projects):
         cat = categories[p % 3]
         functions = [
             FunctionTokens(
@@ -207,7 +209,7 @@ def _mixed_holdout(seed, n_projects=12):
                 tokens=[f"t{int(t)}" for t in rng.integers(0, 40, int(rng.integers(1, 8)))],
                 descr_tokens=[f"d{int(t)}" for t in rng.integers(0, 5, 2)],
             )
-            for i in range(int(rng.integers(1, 10)))
+            for i in range(size or int(rng.integers(1, 10)))
         ]
         projects.append(Project(name=f"p{p}", category=cat, functions=functions))
     return projects, categories
@@ -268,16 +270,47 @@ class TestEvaluateProjectLevel:
             gold, [categories[v.winner] for v in want], categories
         )
 
-    def test_one_predictor_call_per_project(self):
+    def test_calls_fill_passes_with_whole_projects(self, monkeypatch):
+        monkeypatch.setattr(M, "PASS_ROWS", 64)
+        # project sizes around 64 rows, one of them larger
+        sizes = [30, 30, 5, 71, 1, 20, 40, 3, 64, 2]
+        projects, categories = _mixed_holdout(3, sizes=sizes)
+        predict = _noisy_predictor(len(categories), 3)
         calls = []
-        inner = self._predict()
 
-        def predict(streams):
-            calls.append(len(streams))
-            return inner(streams)
+        def recording(streams):
+            calls.append(list(streams))
+            return predict(streams)
 
-        E.evaluate_project_level(predict, _holdout(), "co", self.categories)
-        assert calls == [3, 2]
+        _, verdicts = E.evaluate_project_level(recording, iter(projects), "co", categories)
+        # the calls hold every function once, in file order ...
+        assert [s for call in calls for s in call] == [
+            T.variant_tokens(f.tokens, f.descr_tokens, "co")
+            for p in projects for f in p.functions
+        ]
+        # ... and end only where a project ends
+        bounds = np.cumsum([0] + sizes).tolist()
+        ends = np.cumsum([len(call) for call in calls]).tolist()
+        assert set(ends) <= set(bounds)
+        for lo, hi in zip([0] + ends, ends):
+            # at most 64 rows, unless one project is larger
+            assert hi - lo <= 64 or bounds.index(hi) - bounds.index(lo) == 1
+            # and the next project did not fit
+            if hi < bounds[-1]:
+                assert bounds[bounds.index(hi) + 1] - lo > 64
+        assert [len(call) for call in calls] == [60, 5, 71, 64, 64, 2]
+
+        # one call per project gives the same verdicts
+        monkeypatch.setattr(M, "PASS_ROWS", 1)
+        per_project = []
+
+        def counting(streams):
+            per_project.append(len(streams))
+            return predict(streams)
+
+        _, want = E.evaluate_project_level(counting, iter(projects), "co", categories)
+        assert per_project == sizes
+        assert verdicts == want
 
     def test_wrong_predictor_shape_rejected(self):
         def predict(streams):

@@ -642,7 +642,7 @@ class TestWorkspace:
                 peaks[key] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # 0.61 MB against 15.8 MB here: the gradients go into the workspace
+        # 0.48 MB against 15.4 MB here: the gradients go into the workspace
         # too, so what a warm step allocates is the small per-step temporaries
         assert peaks["warm"] <= peaks["fresh"] / 20, peaks
 
@@ -668,7 +668,7 @@ class TestWorkspace:
         ws = {}
         for ids, probs in zip(batches, want):
             np.testing.assert_array_equal(M.predict_proba(m, ids, ws=ws), probs)
-        assert {"win", "A", "P", "wx_half", "wh_half", "G", "H", "C", "TC"} == set(ws)
+        assert {"win", "A", "P", "wx_half", "wh_half", "G", "H", "C", "TC", "z"} == set(ws)
 
     def test_warm_predict_allocates_little(self):
         cfg = ClassifierConfig(num_categories=6)
@@ -687,19 +687,33 @@ class TestWorkspace:
                 peaks[key] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # 0.28 MB against 6.73 MB here: the LSTM weights with their gate
+        # 0.18 MB against 5.44 MB here: the LSTM weights with their gate
         # columns halved are written into the workspace too, so a warm call
         # allocates only per-pass temporaries such as the window index
         assert peaks["warm"] <= peaks["fresh"] / 20, peaks
 
+    def test_prediction_workspace_size_at_the_default_config(self):
+        # a PASS_ROWS-row prediction pass streams through time: it holds one
+        # CONV_BLOCK block of windows, conv, pool and gate activations and
+        # two steps of LSTM state, plus the halved LSTM weights: 4.4 MB at 64
+        # rows (9.9 MB when every step's pool and gates were held)
+        cfg = ClassifierConfig(num_categories=6)
+        emb = np.random.default_rng(24).normal(size=(50, cfg.embed_dims))
+        m = M.init_model(cfg, emb, seed=24).astype(M.TRAIN_DTYPE)
+        ids = np.random.default_rng(24).integers(0, 50, size=(M.PASS_ROWS, cfg.seq_len))
+        ws = {}
+        M.predict_proba(m, ids, ws=ws)
+        assert sum(arr.nbytes for arr in ws.values()) <= 4.9e6
+
     def test_workspace_size_at_the_default_config(self):
-        # batch 128 in float32, run as two passes of 64 rows: 10.9 MB of
+        # batch 128 in float32, run as two passes of 64 rows: 10.6 MB of
         # activations, since the conv runs in blocks of CONV_BLOCK pooled
         # steps (its windows and activations are 2.3 MB, 8.2 MB for all
-        # steps) and the gate, pool and conv gradients reuse the gate, pool
-        # and conv activations' buffers, plus the halved LSTM weights
-        # (0.6 MB), the gradients summed over the passes (1.1 MB) and a
-        # block's conv_w gradient (0.3 MB): 12.8 MB; then one
+        # steps), the gate, pool and conv gradients reuse the gate, pool
+        # and conv activations' buffers and the pool mask holds the ReLU's,
+        # plus the halved LSTM weights and a contiguous transposed lstm_wh
+        # (0.7 MB), the gradients summed over the passes (1.1 MB) and a
+        # block's conv_w gradient (0.3 MB): 12.7 MB; then one
         # parameter-sized buffer per pass gradient (1.1 MB)
         cfg = ClassifierConfig(num_categories=6)
         emb = np.random.default_rng(18).normal(size=(50, cfg.embed_dims))
