@@ -8,7 +8,7 @@ and counts), since a function uses a few dozen of the N tokens.  The
 classifier is a hand-rolled softmax regression trained with deterministic
 mini-batch gradient descent (cross-entropy + L2 on weights, biases
 unpenalized).  Training multiplies the counts as a SciPy CSR matrix,
-imported only there; prediction scatters them into a dense matrix.
+imported only there; prediction multiplies the CSR arrays in NumPy.
 `LogregConfig` holds the settings, the run configuration's ``lr.*`` keys.
 """
 
@@ -101,12 +101,6 @@ class BowCounts:
     def shape(self):
         return (len(self.indptr) - 1, self.n_features)
 
-    def dense(self):
-        """The counts as a dense (N, n_features) float64 matrix."""
-        X = np.zeros(self.shape)
-        X[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
-        return X
-
 
 def features_matrix(token_streams, vocab):
     """Bag-of-words counts of N token streams, as (N, len(vocab)) BowCounts.
@@ -195,13 +189,27 @@ def train_logreg(features, labels, num_categories, config):
 
 
 def predict_logreg(model, features):
-    """(N, C) probabilities for (N, n_features) BowCounts."""
+    """(N, C) probabilities for (N, n_features) BowCounts.
+
+    The logits are the CSR product: each count times its feature's weight
+    row, summed per row, so a call holds (nonzero counts, C) floats, not
+    the (N, n_features) dense matrix."""
     n_features = model.weights.shape[0]
     if features.n_features != n_features:
         raise ValueError(
             f"feature matrix shape {features.shape}, expected (N, {n_features})"
         )
-    return softmax(features.dense() @ model.weights + model.bias)
+    terms = model.weights[features.indices]
+    terms *= features.data[:, None]
+    logits = np.zeros((features.shape[0], model.weights.shape[1]))
+    # the sums run over the rows that have counts: reduceat sums from each
+    # start to the next, and an empty row's start equals its successor's
+    starts = features.indptr[:-1]
+    filled = starts < features.indptr[1:]
+    if filled.any():
+        logits[filled] = np.add.reduceat(terms, starts[filled], axis=0)
+    logits += model.bias
+    return softmax(logits)
 
 
 def save_baseline(path, model, bow_vocab, categories, extra_meta=None):

@@ -556,11 +556,18 @@ def write_token_dataset(path, records, meta=None):
 
 def _token_list(path, row, field, memo):
     """row[field] (default []) after checking it is a list of strings, each
-    string swapped for memo's equal one (memo takes those it lacks)."""
+    string swapped for memo's equal one (memo takes those it lacks).  A JSON
+    list holds only str, numbers, bools, None, lists and dicts, so "".join,
+    which takes strings only, checks the items in one call."""
     value = row.get(field, [])
-    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
-        raise ValueError(f"{path}: dataset record field {field!r} must be a list of strings")
-    return list(map(memo.setdefault, value, value))
+    if isinstance(value, list):
+        try:
+            "".join(value)
+        except TypeError:
+            pass
+        else:
+            return list(map(memo.setdefault, value, value))
+    raise ValueError(f"{path}: dataset record field {field!r} must be a list of strings")
 
 
 def iter_token_dataset(path):

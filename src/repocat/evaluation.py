@@ -150,8 +150,8 @@ def evaluate_project_level(predict_batch, holdout_projects, variant, categories)
     `holdout_projects` is any iterable of Projects, read once.  Each
     project's functions are represented under `variant` ("co" or "cd"), and
     consecutive projects are predicted together, as many whole projects as
-    fit in model.PASS_ROWS rows (a larger project alone), so a call fills
-    the network's forward passes however small the projects are.  Each
+    fit in model.PREDICT_ROWS rows (a larger project alone), so a call fills
+    a prediction pass of the network however small the projects are.  Each
     project is voted on its own rows of the call's result before the next
     projects are taken, so a stream of projects is held a call at a time.
     The verdicts, sorted by project name (ties keep their order), are
@@ -192,7 +192,7 @@ def evaluate_project_level(predict_batch, holdout_projects, variant, categories)
             tokens.variant_tokens(func.tokens, func.descr_tokens, variant)
             for func in project.functions
         ]
-        if waiting and rows + len(streams) > model.PASS_ROWS:
+        if waiting and rows + len(streams) > model.PREDICT_ROWS:
             predict_waiting()
             rows = 0
         waiting.append((project.name, index_of[project.category], streams))

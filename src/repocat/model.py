@@ -19,10 +19,13 @@ float64's resolution.
 The forward and backward passes run time-major: the conv, pool and LSTM
 activations are (steps, batch, width), so every time step is one
 contiguous block and the pool reads whole-step slabs.  The forward pass
-streams through time in blocks of CONV_BLOCK pooled steps.  For each block
-the lookup gathers the block's conv windows from the table straight into a
-(block steps * batch, kernel * dims) window matrix; one GEMM gives the
-block's conv pre-activations, and the pool reduces them at once.  The conv
+streams through time in blocks of pooled steps, sized by rows times steps:
+a pass of R rows runs blocks of max(1, BLOCK_ROWS // R) steps, so a block
+holds about BLOCK_ROWS rows of activations whatever the pass, and a small
+pass runs one block.  For each block the lookup gathers the block's conv
+windows from the table straight into a (block steps * batch, kernel *
+dims) window matrix; one GEMM gives the block's conv pre-activations, and
+the pool reduces them at once.  The conv
 bias and the ReLU then run on the pooled values, which is exact since the
 max commutes with both; one GEMM projects the block into the LSTM's gates;
 and the LSTM runs the block's steps.  The conv steps that the pool cuts
@@ -39,8 +42,9 @@ pass builds a step's gate gradients gate by gate in a (4, batch, units)
 buffer and writes them back over the gates in the (batch, 4 * units)
 order of the weights.
 
-Every forward pass runs at most PASS_ROWS rows: `predict_proba` splits
-its input, and `train_step` its batch, into consecutive passes.  A train
+`predict_proba` splits its input into consecutive passes of at most
+PREDICT_ROWS rows, and `train_step` its batch into passes of at most
+PASS_ROWS, since a training pass keeps every step's activations.  A train
 step runs a forward and a backward pass per pass, sums the passes'
 gradients, each taken from that pass's cross-entropy divided by the
 batch's row count, and steps the optimizer once on the sums, the batch's
@@ -59,10 +63,10 @@ writes the gate gradient over the gates in `G`, the pool gradient into the
 pool activations' buffer `P` and each block's conv gradient into the conv
 activations' buffer `A`, as it stops reading each; the pool mask holds
 the ReLU's gradient mask too.  At the default config the workspace holds
-13.8 MB after a batch-128 step, and a 64-row prediction pass 4.4 MB
-(2.4 MB at 30 rows).  A step on a warm workspace allocates no multi-MB
-array, so it does not page-fault in memory that the allocator gave back
-to the kernel after the step before.
+13.8 MB after a batch-128 step, and a PREDICT_ROWS-row prediction pass
+4.9 MB (4.4 MB at 64 rows in blocks of 8 steps).  A step on a warm
+workspace allocates no multi-MB array, so it does not page-fault in
+memory that the allocator gave back to the kernel after the step before.
 `predict_proba` takes a workspace too: `fit`'s validation passes use the
 training one, and `eval` holds one for all its calls.  An array from a
 workspace, and so a cache that holds one, is valid only until the next
@@ -102,29 +106,40 @@ from .tokens import Vocabulary
 
 logger = logging.getLogger(__name__)
 
-# Rows per forward pass, in training and in prediction; activations grow
-# with rows, and `evaluation.evaluate_project_level` packs whole projects
-# into calls of up to this many rows.  Measured in TRAIN_DTYPE (2-CPU Xeon,
-# NumPy 2.4.6, OpenBLAS): predict_proba on the 3,600 `cd` rows of a
-# `categorize` fixture took 0.39-0.41 s at 64 rows against 0.47-0.51 s at
-# 32 (best of 5), peaking at 4.7 MB of tracemalloc memory against 2.7 MB
-# with a fresh workspace.  A batch-128 train step in two 64-row passes took
-# 60-61 ms against 55 ms in one (best of 9), when a pass still held every
-# step's conv activations.  A 64-row prediction pass leaves a 4.4 MB
-# workspace, and a batch-128 train step 13.8 MB.
+# Rows per training pass: a train step runs its batch as passes of at most
+# this many rows.  A batch-128 train step in two 64-row passes took 60-61 ms
+# against 55 ms in one (best of 9; 2-CPU Xeon, NumPy 2.4.6, OpenBLAS), when
+# a pass still held every step's conv activations; it leaves a 13.8 MB
+# workspace.
 PASS_ROWS = 64
 
-# Pooled steps per block of the forward pass: it gathers, convolves, pools,
-# projects and runs the LSTM over this many pool windows at a time, and the
-# backward pass walks the same conv blocks.  At the stock shapes in
-# TRAIN_DTYPE (2-CPU Xeon, NumPy 2.4.6, OpenBLAS; median of 15 best-of-10
-# timings), the conv and pool of a 64-row pass took 3.19 ms in blocks of 8
-# against 3.12 ms in one block of all 29 (block 4: 3.42, block 16: 3.13),
-# and the conv weight gradient with its re-gather 3.27 against 3.17 ms
-# (block 4: 3.38); at 30 rows 1.55 against 1.48 ms forward.  A block of 8
-# holds 2.3 MB of windows and conv activations at 64 rows, against 8.2 MB
-# for all steps, and 1.3 MB of pool activations and gates, against 4.8 MB.
-CONV_BLOCK = 8
+# Rows per prediction pass: `predict_proba` splits its input into passes of
+# at most this many rows, and `evaluation.evaluate_project_level` packs
+# whole projects into calls of up to this many.  In TRAIN_DTYPE (2-CPU
+# Xeon, NumPy 2.4.6, OpenBLAS; median of 11 interleaved calls, one
+# process), predict_proba on the 3,600 `cd` rows of a `categorize` fixture
+# took 469 ms at 64 rows in blocks of 8 steps, 423 ms at 256 rows in blocks
+# of 2, and 425 ms at 512 rows in blocks of 1, whose workspace is 5.6 MB
+# against 4.9 MB at 256 rows and 4.3 MB at 64.
+PREDICT_ROWS = 256
+
+# Rows times pooled steps per block of the forward pass: a pass of R rows
+# gathers, convolves, pools, projects and runs the LSTM over
+# max(1, BLOCK_ROWS // R) pool windows at a time (`_block_steps`), and the
+# backward pass walks the same conv blocks.  That is 8 steps at 64 rows (a
+# full training pass), 2 at 256, and one block of all steps at 17 rows or
+# fewer; a block's windows, conv activations, pool activations and gates
+# stay about the same size whatever the pass.  At the stock shapes in TRAIN_DTYPE (median of 15
+# best-of-10 timings), the conv and pool of a 64-row pass took 3.19 ms in
+# blocks of 8 against 3.12 ms in one block of all 29 (block 4: 3.42, block
+# 16: 3.13), and the conv weight gradient with its re-gather 3.27 against
+# 3.17 ms.  A block of 8 steps at 64 rows holds 2.3 MB of windows and conv
+# activations, against 8.2 MB for all steps, and 1.3 MB of pool activations
+# and gates, against 4.8 MB.  On the 3,600 rows above, 256-row passes in
+# blocks of 4 steps (BLOCK_ROWS 1024) took 407 ms, but their workspace is
+# 8.4 MB; 20-row passes took 593 ms in blocks of 8 steps and 573 ms in
+# blocks of 25.
+BLOCK_ROWS = 512
 
 # The precision of every fitted or loaded network.  A batch-128 train step
 # at the stock shapes, on a warm workspace, took 74-79 ms in float32 against
@@ -325,6 +340,12 @@ def _buf(ws, name, shape, dtype):
     return arr[:size].reshape(shape)
 
 
+def _block_steps(rows):
+    """Pooled steps per conv block of a `rows`-row pass: BLOCK_ROWS rows
+    times steps, at least one step."""
+    return max(1, BLOCK_ROWS // rows)
+
+
 def _checked_ids(model, ids):
     """ids as a (B, seq_len) array, after checking its shape and that every
     id has a row in `model.table`."""
@@ -368,7 +389,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     Dropout applies, drawing from `rng`, exactly when an rng is given.
     Runs time-major: activations are (steps, B, width), so each time step is
     one contiguous block.  Returns (probs, cache); cache is None unless
-    want_cache.  The pass streams through time in blocks of CONV_BLOCK
+    want_cache.  The pass streams through time in blocks of `_block_steps`
     pooled steps: each block is convolved, pooled, projected into the LSTM's
     gates and run through its LSTM steps before the next block starts.  A
     cached pass keeps every step's pool activations, gates and state for
@@ -384,6 +405,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     F, U = cfg.filters, cfg.lstm_units
     T2, PS = cfg.pooled_len, cfg.pool_size
     dt = p["conv_w"].dtype
+    step = _block_steps(B)
 
     # the sigmoid gates i, f, o are 0.5 * (1 + tanh(z / 2)); halving their
     # weight and bias columns (exact in binary) lets one tanh per step cover
@@ -402,7 +424,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
         n_steps = T2
         pool_mask = _buf(ws, "pool_mask", (PS, T2, B, F), bool)
     else:
-        n_steps = min(CONV_BLOCK, T2)
+        n_steps = min(step, T2)
     P = _buf(ws, "P", (n_steps, B, F), dt)
     G = _buf(ws, "G", (n_steps, B, 4 * U), dt)
     H = _buf(ws, "H", (T2 + 1 if want_cache else 1, B, U), dt)
@@ -411,8 +433,8 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     z = _buf(ws, "z", (B, 4, U), dt)
     H[0] = 0.0
     C[0] = 0.0
-    for j0 in range(0, T2, CONV_BLOCK):
-        j1 = min(j0 + CONV_BLOCK, T2)
+    for j0 in range(0, T2, step):
+        j1 = min(j0 + step, T2)
         at = slice(j0, j1) if want_cache else slice(0, j1 - j0)
         P_blk, G_blk = P[at], G[at]
         # the block's conv steps, max-pooled straight into P: pool window j
@@ -500,8 +522,9 @@ def _backward(model, cache, onehot, ws=None, batch_rows=None):
     B = onehot.shape[0]
     F, U = cfg.filters, cfg.lstm_units
     T2, PS = cfg.pooled_len, cfg.pool_size
+    step = _block_steps(B)
     # the bias gradients are column sums, taken as GEMMs with a ones row
-    ones = np.ones(max(T2, min(CONV_BLOCK, T2) * PS) * B, dt)
+    ones = np.ones(max(T2, min(step, T2) * PS) * B, dt)
 
     dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / (batch_rows or B)
     grads = {name: _buf(ws, "d" + name, shape, dt)
@@ -558,8 +581,8 @@ def _backward(model, cache, onehot, ws=None, batch_rows=None):
     # too, and add its share of the conv_w and conv_b gradients; the steps
     # the pool cut have none
     dconv_w = grads["conv_w"].reshape(-1, F)
-    for j0 in range(0, T2, CONV_BLOCK):
-        j1 = min(j0 + CONV_BLOCK, T2)
+    for j0 in range(0, T2, step):
+        j1 = min(j0 + step, T2)
         win = _windows(model, cache["ids"], j0 * PS, j1 * PS, ws)
         dZ = _buf(ws, "A", ((j1 - j0) * PS, B, F), dt)
         for k in range(PS):
@@ -622,7 +645,7 @@ def train_step(model, opt, ids, onehot, rng, ws=None):
 
 
 def predict_proba(model, ids, ws=None):
-    """Probabilities for (N, seq_len) ids, PASS_ROWS rows per forward
+    """Probabilities for (N, seq_len) ids, PREDICT_ROWS rows per forward
     pass; returns (N, C).
 
     `ws` is a workspace dict (see `_buf`) for the passes' activations:
@@ -631,8 +654,8 @@ def predict_proba(model, ids, ws=None):
     on it."""
     ids = np.asarray(ids)
     out = np.empty((ids.shape[0], model.config.num_categories))
-    for lo in range(0, ids.shape[0], PASS_ROWS):
-        probs, _ = _forward(model, ids[lo : lo + PASS_ROWS], ws=ws)
+    for lo in range(0, ids.shape[0], PREDICT_ROWS):
+        probs, _ = _forward(model, ids[lo : lo + PREDICT_ROWS], ws=ws)
         out[lo : lo + probs.shape[0]] = probs
     return out
 

@@ -16,6 +16,7 @@ holdout tokens map to 1.
 """
 
 import hashlib
+import itertools
 import re
 
 import numpy as np
@@ -26,16 +27,17 @@ DESCR_DELIM = "descrdelim"
 
 DEFAULT_SEQ_LEN = 60
 
-_NON_WORD = re.compile(r"[^a-z0-9_]+")
+_WORD = re.compile(r"[a-z0-9_]+")
 
 
 def tokenize(text):
-    """Lowercase, map every char outside [a-z0-9_] to a space, split on runs.
+    """Lowercase, then take every run of [a-z0-9_] chars as a token, which
+    is splitting on every other char.
 
     >>> tokenize("CalEditDistance(s, t)")
     ['caleditdistance', 's', 't']
     """
-    return _NON_WORD.sub(" ", text.lower()).split()
+    return _WORD.findall(text.lower())
 
 
 def build_representation(record):
@@ -116,10 +118,13 @@ def build_vocabulary(token_streams):
 
 
 def encode(tokens, vocab, seq_len=DEFAULT_SEQ_LEN):
-    """Fixed-length int64 id sequence: head-keep truncation, end padding."""
+    """Fixed-length int64 id sequence: head-keep truncation, end padding.
+    The ids are looked up in one pass over the kept tokens (`id_of`'s map)."""
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+    head = tokens[:seq_len]
     ids = np.full(seq_len, PAD_ID, dtype=np.int64)
-    for pos, token in enumerate(tokens[:seq_len]):
-        ids[pos] = vocab.id_of(token)
+    ids[: len(head)] = np.fromiter(
+        map(vocab._ids.get, head, itertools.repeat(UNK_ID)), dtype=np.int64, count=len(head)
+    )
     return ids

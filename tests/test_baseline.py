@@ -1,11 +1,20 @@
 """Bag-of-words features and logistic-regression baseline contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repocat import baseline as B
 from repocat import checkpoint
 from repocat.model import cross_entropy, softmax
+
+
+def _dense(counts):
+    """BowCounts as a dense (N, n_features) float64 matrix."""
+    X = np.zeros(counts.shape)
+    X[np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr)), counts.indices] = counts.data
+    return X
 
 
 def _counts(X):
@@ -56,7 +65,7 @@ class TestBowFeatures:
 
     def test_matrix_densification(self):
         X = B.features_matrix([["alpha", "alpha"], ["beta", "junk"], []], self.vocab)
-        np.testing.assert_array_equal(X.dense(), [[2, 0], [0, 1], [0, 0]])
+        np.testing.assert_array_equal(_dense(X), [[2, 0], [0, 1], [0, 0]])
 
     def test_rows_are_csr_with_ascending_indices(self):
         vocab = B.BowVocabulary(["a", "b", "c", "d"])
@@ -99,7 +108,7 @@ class TestBowFeatures:
             vocab = B.BowVocabulary.build(streams, size=size)
             X = B.features_matrix(streams, vocab)
             assert X.shape == (20, min(size, 12))
-            assert (X.dense().sum(axis=0) > 0).all()
+            assert (_dense(X).sum(axis=0) > 0).all()
 
 
 def _separable(n_per_class=40, n_features=6, seed=0):
@@ -203,7 +212,7 @@ def test_sparse_training_matches_the_dense_reference(batch_size):
     vocab = B.BowVocabulary.build(streams, size=50)
     X = B.features_matrix(streams, vocab)
     got = B.train_logreg(X, labels, 4, B.LogregConfig(epochs=12, batch_size=batch_size, seed=3))
-    W, b, losses = dense_reference_logreg(X.dense(), labels, 4, epochs=12,
+    W, b, losses = dense_reference_logreg(_dense(X), labels, 4, epochs=12,
                                           batch_size=batch_size, seed=3)
     np.testing.assert_allclose(got.weights, W, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.bias, b, rtol=0, atol=1e-12)
@@ -233,6 +242,48 @@ class TestPredict:
                 B.predict_logreg(model, _counts(X[i : i + 1]))[0], whole[i],
                 rtol=0, atol=1e-12,
             )
+
+
+def _predict_call(n_rows, seed):
+    """A 1,800-feature model over 6 categories, and BowCounts of n_rows
+    streams of 0-119 Zipf-drawn tokens, a share of them out of vocabulary
+    (so some rows are empty)."""
+    rng = np.random.default_rng(seed)
+    vocab = B.BowVocabulary([f"t{i}" for i in range(1800)])
+    streams = [[f"t{int(i)}" for i in rng.zipf(1.3, int(n)) % 2500]
+               for n in rng.integers(0, 120, n_rows)]
+    streams[3:3] = [[], ["t1900", "t2000"]]
+    model = B.LinearModel(rng.normal(size=(1800, 6)), rng.normal(size=6), [])
+    return model, B.features_matrix(streams, vocab)
+
+
+class TestSparsePredict:
+    """predict_logreg multiplies the CSR counts, never the dense matrix."""
+
+    @pytest.mark.parametrize("n_rows", [1, 254])
+    def test_matches_the_dense_product(self, n_rows):
+        model, X = _predict_call(n_rows, seed=n_rows)
+        want = softmax(_dense(X) @ model.weights + model.bias)
+        np.testing.assert_allclose(B.predict_logreg(model, X), want, rtol=0, atol=1e-12)
+
+    def test_rows_without_counts_take_the_bias(self):
+        model, _ = _predict_call(1, seed=0)
+        for n_rows in (0, 3):
+            got = B.predict_logreg(model, _counts(np.zeros((n_rows, 1800))))
+            np.testing.assert_array_equal(got, softmax(np.tile(model.bias, (n_rows, 1))))
+
+    def test_memory_follows_the_counts_not_the_dense_matrix(self):
+        model, X = _predict_call(254, seed=2)
+        B.predict_logreg(model, X)
+        tracemalloc.start()
+        try:
+            B.predict_logreg(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 0.42 MB for these 256 rows and 7,286 counts; the dense matrix
+        # alone is 3.7 MB
+        assert peak < X.shape[0] * X.shape[1] * 8 / 5, peak
 
 
 def test_save_load_round_trip(tmp_path):

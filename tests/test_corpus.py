@@ -521,6 +521,19 @@ def test_token_dataset_rejects_non_list_token_fields(tmp_path, field, value):
     assert records[0].tokens == ["p", "f", "x"] and records[0].descr_tokens == ["mixer"]
 
 
+@pytest.mark.parametrize("bad", [7, None, ["x"], {"x": 1}, True, 1.5],
+                         ids=["int", "null", "list", "dict", "bool", "float"])
+def test_token_dataset_rejects_a_non_string_deep_in_a_long_list(tmp_path, bad):
+    tokens = [f"t{i % 97}" for i in range(5000)]
+    tokens[4321] = bad
+    row = {"project": "p", "function": "f", "category": "c", "tokens": tokens}
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match=r"data\.jsonl: dataset record field 'tokens' "
+                                         r"must be a list of strings$"):
+        corpus.read_token_dataset(path)
+
+
 @pytest.mark.parametrize("field,value", [
     ("project", ["p"]), ("function", 7), ("category", None),
 ], ids=["project-list", "function-int", "category-null"])

@@ -271,9 +271,10 @@ class TestEvaluateProjectLevel:
         )
 
     def test_calls_fill_passes_with_whole_projects(self, monkeypatch):
-        monkeypatch.setattr(M, "PASS_ROWS", 64)
-        # project sizes around 64 rows, one of them larger
-        sizes = [30, 30, 5, 71, 1, 20, 40, 3, 64, 2]
+        # project sizes around PREDICT_ROWS rows, one of them larger
+        rows = M.PREDICT_ROWS
+        q = rows // 64
+        sizes = [30 * q, 30 * q, 5 * q, 71 * q, q, 20 * q, 40 * q, 3 * q, 64 * q, 2 * q]
         projects, categories = _mixed_holdout(3, sizes=sizes)
         predict = _noisy_predictor(len(categories), 3)
         calls = []
@@ -293,15 +294,15 @@ class TestEvaluateProjectLevel:
         ends = np.cumsum([len(call) for call in calls]).tolist()
         assert set(ends) <= set(bounds)
         for lo, hi in zip([0] + ends, ends):
-            # at most 64 rows, unless one project is larger
-            assert hi - lo <= 64 or bounds.index(hi) - bounds.index(lo) == 1
+            # at most PREDICT_ROWS rows, unless one project is larger
+            assert hi - lo <= rows or bounds.index(hi) - bounds.index(lo) == 1
             # and the next project did not fit
             if hi < bounds[-1]:
-                assert bounds[bounds.index(hi) + 1] - lo > 64
-        assert [len(call) for call in calls] == [60, 5, 71, 64, 64, 2]
+                assert bounds[bounds.index(hi) + 1] - lo > rows
+        assert [len(call) for call in calls] == [60 * q, 5 * q, 71 * q, rows, rows, 2 * q]
 
         # one call per project gives the same verdicts
-        monkeypatch.setattr(M, "PASS_ROWS", 1)
+        monkeypatch.setattr(M, "PREDICT_ROWS", 1)
         per_project = []
 
         def counting(streams):

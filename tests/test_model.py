@@ -141,16 +141,30 @@ class TestForward:
         rng = np.random.default_rng(5)
         ids = rng.integers(0, 12, size=(9, m.config.seq_len))
         whole = M.predict_proba(m, ids)
-        monkeypatch.setattr(M, "PASS_ROWS", 2)
+        monkeypatch.setattr(M, "PREDICT_ROWS", 2)
         batched = M.predict_proba(m, ids)
         np.testing.assert_allclose(whole, batched, atol=1e-15)
+
+    def test_passes_hold_predict_rows_rows(self, monkeypatch):
+        m = make_model(seed=7)
+        n_rows = 2 * M.PREDICT_ROWS + 3
+        ids = np.random.default_rng(7).integers(0, 12, size=(n_rows, m.config.seq_len))
+        forward, rows = M._forward, []
+
+        def recording(model, pass_ids, **kwargs):
+            rows.append(len(pass_ids))
+            return forward(model, pass_ids, **kwargs)
+
+        monkeypatch.setattr(M, "_forward", recording)
+        M.predict_proba(m, ids)
+        assert rows == [M.PREDICT_ROWS, M.PREDICT_ROWS, 3]
 
     @pytest.mark.parametrize("chunk", [1, 16, 37])
     def test_chunked_rows_match_per_row_calls(self, chunk, monkeypatch):
         m = make_model(seed=6)
         ids = np.random.default_rng(6).integers(0, 12, size=(37, m.config.seq_len))
         rows = np.array([M.predict_proba(m, row[None, :])[0] for row in ids])
-        monkeypatch.setattr(M, "PASS_ROWS", chunk)
+        monkeypatch.setattr(M, "PREDICT_ROWS", chunk)
         np.testing.assert_allclose(M.predict_proba(m, ids), rows, rtol=0, atol=1e-12)
 
     def test_bad_ids_rejected(self):
@@ -363,21 +377,27 @@ BLOCK_SHAPES = [(2, 60), (2, 61), (3, 59), (3, 60)]
 
 
 class TestConvBlocks:
-    """The conv runs CONV_BLOCK pooled steps at a time; it must compute what
-    the whole window matrix gave, the last, partial block and the steps the
-    pool cuts included."""
+    """The conv runs blocks of about BLOCK_ROWS rows times pooled steps; it
+    must compute what the whole window matrix gave, the last, partial block
+    and the steps the pool cuts included, at every pass size."""
 
     def test_shapes_span_several_blocks(self):
+        steps = M._block_steps(M.PASS_ROWS)
+        assert steps == M.BLOCK_ROWS // M.PASS_ROWS
         for pool_size, seq_len in BLOCK_SHAPES:
             cfg = block_config(pool_size, seq_len)
-            # two blocks at least, the last one partial
-            assert cfg.pooled_len > M.CONV_BLOCK
-            assert cfg.pooled_len % M.CONV_BLOCK != 0
+            # two blocks at least at PASS_ROWS, the last one partial
+            assert cfg.pooled_len > steps
+            assert cfg.pooled_len % steps != 0
+            # one block of every step for a small pass, one step a block for
+            # a pass of BLOCK_ROWS rows or more
+            assert M._block_steps(17) >= cfg.pooled_len
+            assert M._block_steps(M.BLOCK_ROWS) == M._block_steps(2 * M.BLOCK_ROWS) == 1
         cut = {block_config(*shape).conv_len % shape[0] for shape in BLOCK_SHAPES}
         assert 0 in cut and len(cut) > 1
         assert {block_config(*shape).conv_len % 2 for shape in BLOCK_SHAPES} == {0, 1}
 
-    @pytest.mark.parametrize("rows", [1, 37, M.PASS_ROWS])
+    @pytest.mark.parametrize("rows", [1, 17, 37, M.PASS_ROWS, M.PREDICT_ROWS])
     @pytest.mark.parametrize("pool_size,seq_len", BLOCK_SHAPES)
     def test_predict_proba_matches_the_full_window_matrix(self, pool_size, seq_len, rows):
         m = make_model(block_config(pool_size, seq_len), seed=21).astype(M.TRAIN_DTYPE)
@@ -662,7 +682,7 @@ class TestWorkspace:
         m = make_model(tail_config(), seed=16).astype(M.TRAIN_DTYPE)
         rng = np.random.default_rng(16)
         batches = [rng.integers(0, 12, size=(rows, m.config.seq_len))
-                   for rows in (M.PASS_ROWS + 5, 3, 2 * M.PASS_ROWS)]
+                   for rows in (M.PREDICT_ROWS + 5, 3, 2 * M.PREDICT_ROWS)]
         want = [M.predict_proba(m, ids) for ids in batches]
         self._fill_with_junk(monkeypatch)
         ws = {}
@@ -687,28 +707,31 @@ class TestWorkspace:
                 peaks[key] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # 0.18 MB against 5.44 MB here: the LSTM weights with their gate
-        # columns halved are written into the workspace too, so a warm call
-        # allocates only per-pass temporaries such as the window index
+        # 0.25 MB against 5.35 MB here (one 100-row pass in blocks of 5
+        # steps): the LSTM weights with their gate columns halved are
+        # written into the workspace too, so a warm call allocates only
+        # per-pass temporaries such as the window index
         assert peaks["warm"] <= peaks["fresh"] / 20, peaks
 
     def test_prediction_workspace_size_at_the_default_config(self):
-        # a PASS_ROWS-row prediction pass streams through time: it holds one
-        # CONV_BLOCK block of windows, conv, pool and gate activations and
-        # two steps of LSTM state, plus the halved LSTM weights: 4.4 MB at 64
-        # rows (9.9 MB when every step's pool and gates were held)
+        # a PREDICT_ROWS-row prediction pass streams through time: it holds
+        # one block of windows, conv, pool and gate activations, of about
+        # BLOCK_ROWS rows times steps, and two steps of LSTM state, plus the
+        # halved LSTM weights: 4.86 MB at 256 rows in blocks of 2 steps (4.4
+        # MB at 64 rows in blocks of 8; 9.9 MB at 64 rows when every step's
+        # pool and gates were held)
         cfg = ClassifierConfig(num_categories=6)
         emb = np.random.default_rng(24).normal(size=(50, cfg.embed_dims))
         m = M.init_model(cfg, emb, seed=24).astype(M.TRAIN_DTYPE)
-        ids = np.random.default_rng(24).integers(0, 50, size=(M.PASS_ROWS, cfg.seq_len))
+        ids = np.random.default_rng(24).integers(0, 50, size=(M.PREDICT_ROWS, cfg.seq_len))
         ws = {}
         M.predict_proba(m, ids, ws=ws)
         assert sum(arr.nbytes for arr in ws.values()) <= 4.9e6
 
     def test_workspace_size_at_the_default_config(self):
         # batch 128 in float32, run as two passes of 64 rows: 10.6 MB of
-        # activations, since the conv runs in blocks of CONV_BLOCK pooled
-        # steps (its windows and activations are 2.3 MB, 8.2 MB for all
+        # activations, since the conv runs in blocks of 8 pooled steps at 64
+        # rows (its windows and activations are 2.3 MB, 8.2 MB for all
         # steps), the gate, pool and conv gradients reuse the gate, pool
         # and conv activations' buffers and the pool mask holds the ReLU's,
         # plus the halved LSTM weights and a contiguous transposed lstm_wh

@@ -1,5 +1,7 @@
 """Tokenizer, representation, vocabulary and encoding contracts."""
 
+import doctest
+import re
 import string
 
 import numpy as np
@@ -46,6 +48,37 @@ class TestTokenize:
 
     def test_non_ascii_becomes_separator(self):
         assert tokens.tokenize("café size") == ["caf", "size"]
+
+    def test_seeded_unicode_fuzz_matches_sub_and_split(self):
+        # the tokenizer before it took the runs with one findall: map every
+        # char outside [a-z0-9_] to a space, then split on whitespace runs
+        def sub_and_split(text):
+            return re.sub(r"[^a-z0-9_]+", " ", text.lower()).split()
+
+        rng = np.random.default_rng(25)
+        # a third of the chars printable ASCII; a third chars whose lowercase
+        # is or holds ASCII (KELVIN SIGN, LATIN CAPITAL I WITH DOT ABOVE),
+        # Unicode whitespace, a combining mark and the full-width forms of
+        # "A_1"; a third any code point above ASCII but the surrogates
+        ascii_cps = np.array([ord(c) for c in string.printable])
+        special = np.array([0x212A, 0x130, 0xA0, 0x2028, 0x3000, 0x85, 0x301,
+                            0xFF21, 0xFF3F, 0xFF11])
+        lengths = rng.integers(0, 40, 50_000)
+        total = int(lengths.sum())
+        pools = np.stack([ascii_cps[rng.integers(0, len(ascii_cps), total)],
+                          special[rng.integers(0, len(special), total)],
+                          rng.integers(0x80, 0x30000, total)])
+        cps = pools[rng.integers(0, 3, total), np.arange(total)]
+        cps[(cps >= 0xD800) & (cps < 0xE000)] = ord("A")
+        chars = "".join(map(chr, cps.tolist()))
+        starts = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            text = chars[lo:hi]
+            assert tokens.tokenize(text) == sub_and_split(text), repr(text)
+
+    def test_docstring_examples(self):
+        result = doctest.testmod(tokens)
+        assert result.attempted >= 1 and result.failed == 0
 
 
 class TestRepresentation:
@@ -220,3 +253,17 @@ class TestEncode:
                     assert ids[pos] == self.vocab.id_of(toks[pos])
                 else:
                     assert ids[pos] == tokens.PAD_ID
+
+    @pytest.mark.parametrize("toks,seq_len", [
+        (["zzz", "a", "yyy", "c"], 6),  # unknown tokens, padded
+        (["a", "zzz", "b", "c", "a", "b", "zzz"], 4),  # truncated
+        (["c"], 60),  # a short stream
+        ([], 5),  # an empty stream
+    ], ids=["unknown", "truncation", "short", "empty"])
+    def test_matches_the_per_token_loop(self, toks, seq_len):
+        # encode before it looked its ids up in one pass: one id_of per token
+        want = np.full(seq_len, tokens.PAD_ID, dtype=np.int64)
+        for pos, token in enumerate(toks[:seq_len]):
+            want[pos] = self.vocab.id_of(token)
+        got = tokens.encode(toks, self.vocab, seq_len)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
