@@ -70,7 +70,8 @@ def _well_formed(entry):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (meta, {name: float64 ndarray}).
+    """Read a checkpoint; returns (meta, {name: float64 ndarray}), every
+    array all finite.
 
     The header is read first, then each array straight into its own buffer,
     so a load holds little more than the arrays it returns.
@@ -103,6 +104,10 @@ def load_checkpoint(path):
             fh.seek(body + entry["offset"])
             if fh.readinto(arr) != entry["nbytes"]:
                 raise ValueError(f"{path}: truncated array {entry['name']!r}")
+            # min and max carry a NaN through and show an inf, without a
+            # temporary the array's size
+            if arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+                raise ValueError(f"{path}: array {entry['name']!r} holds non-finite values")
             arrays[entry["name"]] = arr.astype(np.float64, copy=False)
     meta = {k: v for k, v in header.items() if k != "arrays"}
     return meta, arrays

@@ -438,18 +438,9 @@ def cmd_train_lr(args, cfg):
 
 def _load_predictor(path):
     """(predict_batch, categories, kind) from either checkpoint flavor, read
-    once; predict_batch maps N token lists to (N, C) probabilities.  `eval`
-    calls it once per run of consecutive projects, as many whole projects
-    as fit in model.PREDICT_ROWS rows (a larger project alone), as
-    `corpus.iter_projects` reads them.  The network comes from
-    `model.from_checkpoint`, so it predicts in model.TRAIN_DTYPE, the
-    precision `fit` trains it in and picks its epoch by, and runs every
-    call's forward passes in one workspace (`model._buf`), whose size
-    follows the pass (at most model.PREDICT_ROWS rows, one block of about
-    model.BLOCK_ROWS rows times steps at a time), not the project or the
-    holdout; so calls must not overlap.  The baseline multiplies each
-    call's sparse counts directly, so its memory follows the call's
-    nonzero counts, not rows times features."""
+    once; predict_batch maps N token lists to (N, C) probabilities.  The
+    network predicts in model.TRAIN_DTYPE, the precision `fit` trains it
+    in, and all its calls share one workspace, so calls must not overlap."""
     meta, arrays = checkpoint.load_checkpoint(path)
     kind = meta.get("kind")
     if kind == "nn":

@@ -638,7 +638,8 @@ def iter_projects(path):
 
 
 def read_labels(path):
-    """Read project metadata JSONL: {"name", "category", "description"?}.
+    """Read project metadata JSONL: {"name", "category", "description"?},
+    the name and category non-empty strings and the description a string.
 
     Returns (labels, descriptions) dicts keyed by project name.
     """
@@ -646,8 +647,14 @@ def read_labels(path):
     labels = {}
     descriptions = {}
     for rec in records:
-        if "name" not in rec or "category" not in rec:
+        if not isinstance(rec, dict) or "name" not in rec or "category" not in rec:
             raise ValueError(f"{path}: label record needs 'name' and 'category': {rec}")
+        for key in ("name", "category"):
+            if not isinstance(rec[key], str) or not rec[key]:
+                raise ValueError(
+                    f"{path}: label record {rec}: {key!r} must be a non-empty string")
+        if not isinstance(rec.get("description", ""), str):
+            raise ValueError(f"{path}: label record {rec}: 'description' must be a string")
         name = rec["name"]
         if name in labels:
             raise ValueError(f"{path}: duplicate project name: {name!r}")

@@ -43,27 +43,24 @@ buffer and writes them back over the gates in the (batch, 4 * units)
 order of the weights.
 
 `predict_proba` splits its input into consecutive passes of at most
-PREDICT_ROWS rows, and `train_step` its batch into passes of at most
-PASS_ROWS, since a training pass keeps every step's activations.  A train
-step runs a forward and a backward pass per pass, sums the passes'
-gradients, each taken from that pass's cross-entropy divided by the
-batch's row count, and steps the optimizer once on the sums, the batch's
-mean gradient.  The passes draw their dropout rows from the step's rng in
-turn, the numbers one draw over the whole batch gives.  So the memory a
-step needs follows the pass, not the batch.
+PREDICT_ROWS rows.  A train step runs its whole batch as one forward and
+one backward pass and steps the optimizer once, on the gradient of the
+batch's mean cross-entropy.  Its conv windows and conv activations are
+one block's, about BLOCK_ROWS rows times steps; its pool, mask, gate and
+LSTM state arrays hold every step of the batch.
 
 `fit` hands every train step one workspace: a dict in which `_buf` keeps
 the large activations and gradients (a block's conv windows and conv
-activations, the pool, mask, gate and LSTM state arrays, the LSTM weights
-with their sigmoid columns halved, a pass's parameter gradients and their
-sums over the batch) and returns them to the next pass, which writes them
-in place.  Each is one flat array that only grows, so a smaller pass runs
-in the leading part of the memory a full one left.  The backward pass
-writes the gate gradient over the gates in `G`, the pool gradient into the
-pool activations' buffer `P` and each block's conv gradient into the conv
+activations, the pool, mask, gate and LSTM state arrays, the LSTM
+weights with their sigmoid columns halved, the parameter gradients) and
+returns them to the next pass, which writes them in place.  Each is one
+flat array that only grows, so a smaller pass runs in the leading part
+of the memory a full one left.  The backward pass writes the gate
+gradient over the gates in `G`, the pool gradient into the pool
+activations' buffer `P` and each block's conv gradient into the conv
 activations' buffer `A`, as it stops reading each; the pool mask holds
 the ReLU's gradient mask too.  At the default config the workspace holds
-13.8 MB after a batch-128 step, and a PREDICT_ROWS-row prediction pass
+21.0 MB after a batch-128 step, and a PREDICT_ROWS-row prediction pass
 4.9 MB (4.4 MB at 64 rows in blocks of 8 steps).  A step on a warm
 workspace allocates no multi-MB array, so it does not page-fault in
 memory that the allocator gave back to the kernel after the step before.
@@ -106,13 +103,6 @@ from .tokens import Vocabulary
 
 logger = logging.getLogger(__name__)
 
-# Rows per training pass: a train step runs its batch as passes of at most
-# this many rows.  A batch-128 train step in two 64-row passes took 60-61 ms
-# against 55 ms in one (best of 9; 2-CPU Xeon, NumPy 2.4.6, OpenBLAS), when
-# a pass still held every step's conv activations; it leaves a 13.8 MB
-# workspace.
-PASS_ROWS = 64
-
 # Rows per prediction pass: `predict_proba` splits its input into passes of
 # at most this many rows, and `evaluation.evaluate_project_level` packs
 # whole projects into calls of up to this many.  In TRAIN_DTYPE (2-CPU
@@ -126,11 +116,12 @@ PREDICT_ROWS = 256
 # Rows times pooled steps per block of the forward pass: a pass of R rows
 # gathers, convolves, pools, projects and runs the LSTM over
 # max(1, BLOCK_ROWS // R) pool windows at a time (`_block_steps`), and the
-# backward pass walks the same conv blocks.  That is 8 steps at 64 rows (a
-# full training pass), 2 at 256, and one block of all steps at 17 rows or
+# backward pass walks the same conv blocks.  That is 4 steps at 128 rows (a
+# stock training batch), 2 at 256, and one block of all steps at 17 rows or
 # fewer; a block's windows, conv activations, pool activations and gates
-# stay about the same size whatever the pass.  At the stock shapes in TRAIN_DTYPE (median of 15
-# best-of-10 timings), the conv and pool of a 64-row pass took 3.19 ms in
+# stay about the same size whatever the pass.  At the stock shapes in
+# TRAIN_DTYPE (median of 15 best-of-10 timings), the conv and pool of a
+# 64-row pass took 3.19 ms in
 # blocks of 8 against 3.12 ms in one block of all 29 (block 4: 3.42, block
 # 16: 3.13), and the conv weight gradient with its re-gather 3.27 against
 # 3.17 ms.  A block of 8 steps at 64 rows holds 2.3 MB of windows and conv
@@ -507,11 +498,9 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     return probs, cache
 
 
-def _backward(model, cache, onehot, ws=None, batch_rows=None):
-    """Gradients w.r.t. all trainable parameters of the pass's summed
-    cross-entropy divided by `batch_rows`: the mean cross-entropy when it
-    is the pass's own row count (the default), the pass's share of a batch's
-    mean when the batch runs as several passes.
+def _backward(model, cache, onehot, ws=None):
+    """Gradients w.r.t. all trainable parameters of the pass's mean
+    cross-entropy.
 
     The returned parameter gradients are taken from the workspace `ws` (see
     `_buf`); the gate and pool gradients overwrite the cache's `G` and `P`,
@@ -526,7 +515,7 @@ def _backward(model, cache, onehot, ws=None, batch_rows=None):
     # the bias gradients are column sums, taken as GEMMs with a ones row
     ones = np.ones(max(T2, min(step, T2) * PS) * B, dt)
 
-    dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / (batch_rows or B)
+    dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / B
     grads = {name: _buf(ws, "d" + name, shape, dt)
              for name, shape in param_shapes(cfg).items()}
     np.matmul(cache["Hd"].T, dlogits, out=grads["out_w"])
@@ -608,40 +597,18 @@ def train_step(model, opt, ids, onehot, rng, ws=None):
     Adamax `opt` on one minibatch; returns the batch loss, the mean
     cross-entropy over its rows.
 
-    The batch runs as consecutive passes of at most PASS_ROWS rows, each a
-    forward and a backward pass.  The passes draw their dropout rows from
-    `rng` in turn, the numbers one draw for the whole batch would give,
-    since the generator fills row by row.  Their gradients, each divided by
-    the batch's row count, are summed into workspace buffers, and the
-    optimizer steps once, on the sums.
-
     `ws` is a workspace dict (see `_buf`) for the large activations and
     gradients; passing the same one to every step of a run reuses them."""
-    ids = np.asarray(ids)
-    rows = ids.shape[0]
-    dt = model.params["conv_w"].dtype
-    grads = {name: _buf(ws, "sum_d" + name, shape, dt)
-             for name, shape in param_shapes(model.config).items()}
-    total = 0.0
-    for lo in range(0, rows, PASS_ROWS):
-        part = slice(lo, lo + PASS_ROWS)
-        probs, cache = _forward(model, ids[part], rng=rng, want_cache=True, ws=ws)
-        loss = cross_entropy(probs, onehot[part])
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"non-finite training loss: {loss}")
-        total += loss * len(probs)
-        pass_grads = _backward(model, cache, onehot[part], ws=ws, batch_rows=rows)
-        del probs, cache  # its dense-layer arrays need not outlive the pass
-        for name, grad in grads.items():
-            if lo == 0:
-                np.copyto(grad, pass_grads[name])
-            else:
-                grad += pass_grads[name]
+    probs, cache = _forward(model, ids, rng=rng, want_cache=True, ws=ws)
+    loss = cross_entropy(probs, onehot)
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"non-finite training loss: {loss}")
+    grads = _backward(model, cache, onehot, ws=ws)
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient in {name}")
     opt.step(model.params, grads)
-    return total / rows
+    return loss
 
 
 def predict_proba(model, ids, ws=None):

@@ -106,24 +106,30 @@ def test_eval_lr_runs(pipeline, capsys):
 
 
 @pytest.mark.parametrize("kind,edit,message", [
-    ("lr", lambda meta: meta.pop("bow_tokens"), r"checkpoint header lacks \['bow_tokens'\]"),
-    ("nn", lambda meta: meta.pop("config"), r"checkpoint header lacks \['config'\]"),
-    ("nn", lambda meta: meta["config"].update(bogus=1),
+    ("lr", lambda meta, arrays: meta.pop("bow_tokens"),
+     r"checkpoint header lacks \['bow_tokens'\]"),
+    ("nn", lambda meta, arrays: meta.pop("config"), r"checkpoint header lacks \['config'\]"),
+    ("nn", lambda meta, arrays: meta["config"].update(bogus=1),
      "bad classifier config: .*unexpected keyword argument 'bogus'"),
-    ("nn", lambda meta: meta.update(config=5),
+    ("nn", lambda meta, arrays: meta.update(config=5),
      "bad classifier config: expected an object, got 5"),
-    ("nn", lambda meta: meta["config"].update(filters="250"),
+    ("nn", lambda meta, arrays: meta["config"].update(filters="250"),
      "bad classifier config: filters must be int, got '250'"),
-    ("nn", lambda meta: meta["config"].update(dropout_level=True),
+    ("nn", lambda meta, arrays: meta["config"].update(dropout_level=True),
      "bad classifier config: dropout_level must be float, got True"),
-    ("nn", lambda meta: meta["config"].update(pool_size=0),
+    ("nn", lambda meta, arrays: meta["config"].update(pool_size=0),
      "bad classifier config: pool_size must be >= 1, got 0"),
+    ("nn", lambda meta, arrays: meta.update(kind="svm"), "unknown checkpoint kind 'svm'"),
+    ("nn", lambda meta, arrays: arrays["out_b"].__setitem__(1, np.nan),
+     "array 'out_b' holds non-finite values"),
+    ("lr", lambda meta, arrays: arrays["weights"].__setitem__((0, 0), -np.inf),
+     "array 'weights' holds non-finite values"),
 ], ids=["lr-no-bow_tokens", "nn-no-config", "nn-unknown-config-field",
         "nn-config-not-object", "nn-config-field-str", "nn-config-field-bool",
-        "nn-config-invalid"])
+        "nn-config-invalid", "unknown-kind", "nn-nan-array", "lr-inf-array"])
 def test_eval_malformed_header_names_the_file(pipeline, capsys, kind, edit, message):
     meta, arrays = checkpoint.load_checkpoint(pipeline[kind])
-    edit(meta)
+    edit(meta, arrays)
     bad = pipeline["work"] / f"bad_{kind}.ckpt"
     checkpoint.save_checkpoint(bad, meta, arrays)
     assert run("eval", bad, pipeline["holdout"], "--variant", "co") == 1

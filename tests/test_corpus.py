@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,10 @@ def test_read_labels(tmp_path):
     bad.write_text(json.dumps({"name": "x"}) + "\n")
     with pytest.raises(ValueError):
         corpus.read_labels(bad)
+    bad.write_text(json.dumps(rows[0]) + "\n5\n")
+    want = r"bad\.jsonl: label record needs 'name' and 'category': 5$"
+    with pytest.raises(ValueError, match=want):
+        corpus.read_labels(bad)
 
     dup = tmp_path / "dup.jsonl"
     dup.write_text(
@@ -487,6 +492,20 @@ def test_read_labels(tmp_path):
     )
     with pytest.raises(ValueError, match="duplicate"):
         corpus.read_labels(dup)
+
+    for rec, key, kind in [
+        ({"name": "p1", "category": 3}, "category", "a non-empty string"),
+        ({"name": "p1", "category": ""}, "category", "a non-empty string"),
+        ({"name": 7, "category": "games"}, "name", "a non-empty string"),
+        ({"name": "", "category": "games"}, "name", "a non-empty string"),
+        ({"name": "p1", "category": "games", "description": 5}, "description", "a string"),
+        ({"name": "p1", "category": "games", "description": None}, "description", "a string"),
+    ]:
+        typed = tmp_path / "typed.jsonl"
+        typed.write_text(json.dumps(rows[0]) + "\n" + json.dumps(rec) + "\n")
+        want = rf"typed\.jsonl: label record {re.escape(str(rec))}: '{key}' must be {kind}$"
+        with pytest.raises(ValueError, match=want):
+            corpus.read_labels(typed)
 
 
 def test_token_dataset_round_trip_shares_one_string_per_token(tmp_path):
