@@ -59,9 +59,6 @@ class BowVocabulary:
     def __len__(self):
         return len(self._tokens)
 
-    def index_of(self, token):
-        return self._index.get(token, -1)
-
     def tokens(self):
         return list(self._tokens)
 

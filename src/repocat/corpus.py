@@ -64,6 +64,7 @@ import contextlib
 import logging
 import os
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -554,19 +555,16 @@ def write_token_dataset(path, records, meta=None):
     fileio.write_jsonl(path, rows, meta=meta)
 
 
-def _token_list(path, row, field, memo):
+def _token_list(path, row, field):
     """row[field] (default []) after checking it is a list of strings, each
-    string swapped for memo's equal one (memo takes those it lacks).  A JSON
-    list holds only str, numbers, bools, None, lists and dicts, so "".join,
-    which takes strings only, checks the items in one call."""
+    string swapped for its interned equal; `sys.intern` takes strings only,
+    so it checks the items as it goes."""
     value = row.get(field, [])
     if isinstance(value, list):
         try:
-            "".join(value)
+            return list(map(sys.intern, value))
         except TypeError:
             pass
-        else:
-            return list(map(memo.setdefault, value, value))
     raise ValueError(f"{path}: dataset record field {field!r} must be a list of strings")
 
 
@@ -577,7 +575,6 @@ def iter_token_dataset(path):
     Equal tokens of all records share one `str`: a holdout repeats a few
     thousand distinct tokens hundreds of thousands of times.  The file is
     closed when the iterator is exhausted or closed, or a record is bad."""
-    memo = {}
     with contextlib.closing(fileio.iter_jsonl(path)) as rows:
         yield next(rows)
         for row in rows:
@@ -591,8 +588,8 @@ def iter_token_dataset(path):
                 project=row["project"],
                 function=row["function"],
                 category=row["category"],
-                tokens=_token_list(path, row, "tokens", memo),
-                descr_tokens=_token_list(path, row, "descr_tokens", memo),
+                tokens=_token_list(path, row, "tokens"),
+                descr_tokens=_token_list(path, row, "descr_tokens"),
             )
 
 

@@ -48,7 +48,8 @@ def vote(predictions, project=""):
         raise ValueError(f"cannot vote on zero predictions (project {project!r})")
     tally = {}
     for pred in predictions:
-        tally[pred.predicted] = tally.get(pred.predicted, 0) + 1
+        cat = pred.predicted
+        tally[cat] = tally.get(cat, 0) + 1
     top = max(tally.values())
     tied = sorted(cat for cat, n in tally.items() if n == top)
     if len(tied) > 1:

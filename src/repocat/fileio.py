@@ -47,9 +47,14 @@ def _replacing(path):
         raise
 
 
+# one encoder for every record: json.dumps with arguments builds a new one
+# per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj):
     """Deterministic single-line JSON: sorted keys, no whitespace padding."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def write_jsonl(path, records, meta=None):

@@ -50,25 +50,25 @@ one block's, about BLOCK_ROWS rows times steps; its pool, mask, gate and
 LSTM state arrays hold every step of the batch.
 
 `fit` hands every train step one workspace: a dict in which `_buf` keeps
-the large activations and gradients (a block's conv windows and conv
-activations, the pool, mask, gate and LSTM state arrays, the LSTM
-weights with their sigmoid columns halved, the parameter gradients) and
-returns them to the next pass, which writes them in place.  Each is one
-flat array that only grows, so a smaller pass runs in the leading part
-of the memory a full one left.  The backward pass writes the gate
-gradient over the gates in `G`, the pool gradient into the pool
-activations' buffer `P` and each block's conv gradient into the conv
-activations' buffer `A`, as it stops reading each; the pool mask holds
-the ReLU's gradient mask too.  At the default config the workspace holds
-21.0 MB after a batch-128 step, and a PREDICT_ROWS-row prediction pass
-4.9 MB (4.4 MB at 64 rows in blocks of 8 steps).  A step on a warm
-workspace allocates no multi-MB array, so it does not page-fault in
-memory that the allocator gave back to the kernel after the step before.
+the activations (a block's conv windows `win` and conv activations `A`,
+the pool activations `P`, the pool mask, the gates `G` and the LSTM state
+`H`, `C` and `TC`) and returns them to the next pass, which writes them
+in place.  Each is one flat array that only grows, so a smaller pass
+runs in the leading part of the memory a full one left.  The backward
+pass writes the gate gradient over the gates in `G`, the pool gradient
+into `P` and each block's conv gradient into `A`, as it stops reading
+each; the pool mask holds the ReLU's gradient mask too.  At the default
+config the workspace holds 18.3 MB after a batch-128 step, and a
+PREDICT_ROWS-row prediction pass 3.9 MB (3.7 MB at 64 rows in blocks of
+8 steps).  Everything else (the parameter gradients, the LSTM weights
+with their sigmoid columns halved, the per-step scratch) is allocated
+per pass, and none of it is as large as a block's activations, so a step
+or a pass on a warm workspace allocates no multi-MB array.
 `predict_proba` takes a workspace too: `fit`'s validation passes use the
-training one, and `eval` holds one for all its calls.  An array from a
-workspace, and so a cache that holds one, is valid only until the next
-call with the same workspace.  `conv_activations` and `gradient_check`
-pass no workspace and allocate each array afresh.
+training one, and `eval` holds one for all its calls.  An activation
+from a workspace, and so a cache that holds one, is valid only until the
+next call with the same workspace.  `conv_activations` and
+`gradient_check` pass no workspace and allocate each array afresh.
 
 Architecture at defaults (seq_len 60, kernel 3, pool 2), shapes
 per sequence:
@@ -109,8 +109,8 @@ logger = logging.getLogger(__name__)
 # Xeon, NumPy 2.4.6, OpenBLAS; median of 11 interleaved calls, one
 # process), predict_proba on the 3,600 `cd` rows of a `categorize` fixture
 # took 469 ms at 64 rows in blocks of 8 steps, 423 ms at 256 rows in blocks
-# of 2, and 425 ms at 512 rows in blocks of 1, whose workspace is 5.6 MB
-# against 4.9 MB at 256 rows and 4.3 MB at 64.
+# of 2, and 425 ms at 512 rows in blocks of 1, whose workspace is 4.2 MB
+# against 3.9 MB at 256 rows and 3.7 MB at 64.
 PREDICT_ROWS = 256
 
 # Rows times pooled steps per block of the forward pass: a pass of R rows
@@ -128,7 +128,7 @@ PREDICT_ROWS = 256
 # activations, against 8.2 MB for all steps, and 1.3 MB of pool activations
 # and gates, against 4.8 MB.  On the 3,600 rows above, 256-row passes in
 # blocks of 4 steps (BLOCK_ROWS 1024) took 407 ms, but their workspace is
-# 8.4 MB; 20-row passes took 593 ms in blocks of 8 steps and 573 ms in
+# 7.5 MB; 20-row passes took 593 ms in blocks of 8 steps and 573 ms in
 # blocks of 25.
 BLOCK_ROWS = 512
 
@@ -231,19 +231,12 @@ class ClassifierModel:
 class Adamax:
     """Adamax state for one set of parameters, in their dtype:
     m = b1 m + (1-b1) g;  u = max(b2 u, |g|);
-    param -= lr * (m / (1 - b1^t)) / (u + eps), with BETA1, BETA2, EPSILON.
-
-    A step computes each parameter's update in the leading part of two
-    scratch arrays that the optimizer owns, sized for the largest
-    parameter, so it allocates no parameter-sized array."""
+    param -= lr * (m / (1 - b1^t)) / (u + eps), with BETA1, BETA2, EPSILON."""
 
     def __init__(self, config, params):
         self.config = config
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.u = {k: np.zeros_like(v) for k, v in params.items()}
-        largest = max(params.values(), key=lambda v: v.size)
-        self.scratch = (np.empty(largest.size, largest.dtype),
-                        np.empty(largest.size, largest.dtype))
         self.t = 0
 
     def step(self, params, grads):
@@ -252,14 +245,10 @@ class Adamax:
         correction = 1.0 - BETA1 ** self.t
         for name, grad in grads.items():
             m, u = self.m[name], self.u[name]
-            a, b = (s[: grad.size].reshape(grad.shape) for s in self.scratch)
             m *= BETA1
-            m += np.multiply(1.0 - BETA1, grad, out=a)
-            np.maximum(np.multiply(BETA2, u, out=a), np.abs(grad, out=b), out=u)
-            np.divide(m, correction, out=a)
-            a *= self.config.learning_rate  # lr * (m / correction), the same product
-            a /= np.add(u, EPSILON, out=b)
-            params[name] -= a
+            m += (1.0 - BETA1) * grad
+            np.maximum(BETA2 * u, np.abs(grad), out=u)
+            params[name] -= self.config.learning_rate * (m / correction) / (u + EPSILON)
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -311,10 +300,10 @@ def softmax(logits):
 
 
 def _buf(ws, name, shape, dtype):
-    """An uninitialized `shape` x `dtype` array for `name`.
+    """An uninitialized `shape` x `dtype` array for the activation `name`.
 
-    A workspace `ws` is a dict that keeps one flat array per name, and
-    returns its leading part reshaped to `shape`.  The flat array only
+    A workspace `ws` is a dict that keeps one flat array per activation,
+    and returns its leading part reshaped to `shape`.  The flat array only
     grows: a new one replaces it when the dtype differs or it is too small,
     so a smaller shape (the last batch of an epoch, a validation pass) is
     served from the memory a larger one left.  An array taken from a
@@ -385,8 +374,8 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     gates and run through its LSTM steps before the next block starts.  A
     cached pass keeps every step's pool activations, gates and state for
     the backward pass; a prediction pass keeps one block of them and the
-    current state.  The large activations are taken from the workspace `ws`
-    (see `_buf`), so the cache is valid only until the next call with that
+    current state.  The activations are taken from the workspace `ws` (see
+    `_buf`), so the cache is valid only until the next call with that
     workspace.
     """
     cfg = model.config
@@ -404,8 +393,8 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     half = np.ones(4 * U, dtype=dt)
     half[: 2 * U] = 0.5
     half[3 * U :] = 0.5
-    wx = np.multiply(p["lstm_wx"], half, out=_buf(ws, "wx_half", (F, 4 * U), dt))
-    wh = np.multiply(p["lstm_wh"], half, out=_buf(ws, "wh_half", (U, 4 * U), dt))
+    wx = p["lstm_wx"] * half
+    wh = p["lstm_wh"] * half
     b_half = p["lstm_b"] * half
 
     # a cached pass indexes P, G and TC by step and H, C by the step they
@@ -421,7 +410,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     H = _buf(ws, "H", (T2 + 1 if want_cache else 1, B, U), dt)
     C = _buf(ws, "C", H.shape, dt)
     TC = _buf(ws, "TC", (T2 if want_cache else 1, B, U), dt)
-    z = _buf(ws, "z", (B, 4, U), dt)
+    z = np.empty((B, 4, U), dt)
     H[0] = 0.0
     C[0] = 0.0
     for j0 in range(0, T2, step):
@@ -442,8 +431,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
             # later position that ties with one already taken
             mask = pool_mask[:, j0:j1]
             np.equal(slabs[0], P_blk, out=mask[0])
-            taken = _buf(ws, "taken", P_blk.shape, bool)
-            np.copyto(taken, mask[0])
+            taken = mask[0].copy()
             for k in range(1, PS):
                 np.equal(slabs[k], P_blk, out=mask[k])
                 # on bools, a > b is a and not b
@@ -502,9 +490,9 @@ def _backward(model, cache, onehot, ws=None):
     """Gradients w.r.t. all trainable parameters of the pass's mean
     cross-entropy.
 
-    The returned parameter gradients are taken from the workspace `ws` (see
-    `_buf`); the gate and pool gradients overwrite the cache's `G` and `P`,
-    and each conv block's gradient the workspace's conv activations."""
+    The returned parameter gradients are fresh arrays, the caller's to
+    keep; the gate and pool gradients overwrite the cache's `G` and `P`, and each
+    conv block's gradient the workspace's conv activations (see `_buf`)."""
     cfg = model.config
     p = model.params
     dt = p["conv_w"].dtype
@@ -516,8 +504,7 @@ def _backward(model, cache, onehot, ws=None):
     ones = np.ones(max(T2, min(step, T2) * PS) * B, dt)
 
     dlogits = (cache["probs"] - onehot.astype(dt, copy=False)) / B
-    grads = {name: _buf(ws, "d" + name, shape, dt)
-             for name, shape in param_shapes(cfg).items()}
+    grads = {name: np.empty(shape, dt) for name, shape in param_shapes(cfg).items()}
     np.matmul(cache["Hd"].T, dlogits, out=grads["out_w"])
     np.sum(dlogits, axis=0, out=grads["out_b"])
     # the dense layer's gradient, through dropout and ReLU, in one array;
@@ -539,9 +526,8 @@ def _backward(model, cache, onehot, ws=None):
     dh = dhid_pre @ p["hid_w"].T
     del dhid_pre
     dc = np.zeros_like(dh)
-    wh_t = _buf(ws, "wh_t", (4 * U, U), dt)
-    np.copyto(wh_t, p["lstm_wh"].T)
-    dgates = _buf(ws, "dgates", (4, B, U), dt)
+    wh_t = np.ascontiguousarray(p["lstm_wh"].T)
+    dgates = np.empty((4, B, U), dt)
     di, df, dg, do = dgates
     for t in range(T2 - 1, -1, -1):
         gi, gf, gg, go = G[t].reshape(4, B, U)
@@ -581,7 +567,7 @@ def _backward(model, cache, onehot, ws=None):
             np.matmul(win.T, dZ, out=dconv_w)
             np.matmul(ones[: len(dZ)], dZ, out=grads["conv_b"])
         else:
-            dconv_w += np.matmul(win.T, dZ, out=_buf(ws, "dconv_w_blk", dconv_w.shape, dt))
+            dconv_w += win.T @ dZ
             grads["conv_b"] += ones[: len(dZ)] @ dZ
     return grads
 
@@ -597,8 +583,8 @@ def train_step(model, opt, ids, onehot, rng, ws=None):
     Adamax `opt` on one minibatch; returns the batch loss, the mean
     cross-entropy over its rows.
 
-    `ws` is a workspace dict (see `_buf`) for the large activations and
-    gradients; passing the same one to every step of a run reuses them."""
+    `ws` is a workspace dict (see `_buf`) for the activations; passing the
+    same one to every step of a run reuses them."""
     probs, cache = _forward(model, ids, rng=rng, want_cache=True, ws=ws)
     loss = cross_entropy(probs, onehot)
     if not np.isfinite(loss):

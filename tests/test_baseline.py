@@ -30,8 +30,6 @@ class TestBowVocabulary:
         streams = [["b", "a", "b", "c", "b", "a"]]
         vocab = B.BowVocabulary.build(streams, size=2)
         assert vocab.tokens() == ["b", "a"]
-        assert vocab.index_of("b") == 0
-        assert vocab.index_of("c") == -1
 
     def test_tie_breaks_by_first_seen(self):
         streams = [["x", "y", "z", "y", "x", "z"]]  # all count 2
@@ -83,13 +81,13 @@ class TestBowFeatures:
         streams = [[f"t{int(i)}" for i in rng.integers(0, 40, int(n))]
                    for n in rng.integers(0, 90, 48)]
         streams[10:10] = [[], ["t1", "t3", "t1"]]  # empty, and out of vocabulary
+        index = {t: i for i, t in enumerate(vocab.tokens())}
         data, indices, indptr = [], [], [0]
         for stream in streams:
             counts = {}
             for token in stream:
-                idx = vocab.index_of(token)
-                if idx >= 0:
-                    counts[idx] = counts.get(idx, 0) + 1
+                if token in index:
+                    counts[index[token]] = counts.get(index[token], 0) + 1
             indices.extend(sorted(counts))
             data.extend(counts[i] for i in sorted(counts))
             indptr.append(len(indices))

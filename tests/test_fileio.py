@@ -1,5 +1,7 @@
 """JSONL written and read one line at a time, and atomic replacement."""
 
+import json
+
 import pytest
 
 from repocat import fileio
@@ -23,6 +25,17 @@ def test_write_jsonl_bytes_equal_the_joined_lines(tmp_path, records, meta):
     fileio.write_jsonl(path, iter(records), meta=meta)
     assert path.read_bytes() == _joined(records, meta)
     assert fileio.read_jsonl(path) == (records, meta)
+
+
+@pytest.mark.parametrize("obj", [
+    {"z": {"y": [1, {"b": None, "a": True}], "x": []}, "a": [[["deep"]]]},
+    {"name": "mixer\u00e9", "tokens": ["\u65e5\u672c", "\U0001f600", "tab\t"]},
+    {"loss": 0.1, "small": 1e-300, "big": 1.5e300, "neg": -2.5, "int": 3,
+     "nan": float("nan"), "inf": float("inf")},
+    [3.141592653589793, "x", None],
+], ids=["nested", "non-ascii", "floats", "list"])
+def test_dumps_equals_json_dumps_with_sorted_keys_and_tight_separators(obj):
+    assert fileio.dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def test_write_jsonl_that_fails_partway_leaves_no_file(tmp_path):

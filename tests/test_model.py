@@ -1,5 +1,6 @@
 """Classifier contracts: architecture, gradients, optimizer, fit, IO."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -427,12 +428,17 @@ class TestConvBlocks:
         onehot[np.arange(rows), rng.integers(0, 3, rows)] = 1.0
         _, _, want = full_window_reference(m, ids, onehot)
         ws = {}
-        M.train_step(m, M.Adamax(m.config, m.params), ids, onehot, rng, ws=ws)
+        _, cache = M._forward(m, ids, rng=rng, want_cache=True, ws=ws)
+        grads = M._backward(m, cache, onehot, ws=ws)
+        # the gradients are the caller's: a later step on other ids, with
+        # the same workspace, leaves them as they were
+        other = rng.integers(0, 12, size=ids.shape)
+        M.train_step(m, M.Adamax(m.config, m.params), other, onehot, rng, ws=ws)
         # the conv gradients are summed block by block, the reference's in
         # one GEMM: equal to float32 rounding of the largest entry
         tol = 64 * np.finfo(np.float32).eps
         for name in M.PARAM_NAMES:
-            got = ws["d" + name].reshape(want[name].shape)
+            got = grads[name]
             np.testing.assert_allclose(got, want[name], rtol=tol,
                                        atol=tol * np.abs(want[name]).max(), err_msg=name)
 
@@ -489,27 +495,8 @@ class TestAdamax:
         opt.step(m.params, zero)
         assert opt.t == 2
 
-    def test_warm_step_allocates_no_parameter_sized_array(self):
-        # default shapes in float32: lstm_wx is 400 kB; a step that built
-        # its update in temporaries peaked at several times that
-        cfg = ClassifierConfig(num_categories=6)
-        emb = np.zeros((10, cfg.embed_dims))
-        params = M.init_model(cfg, emb, seed=16).astype(M.TRAIN_DTYPE).params
-        rng = np.random.default_rng(16)
-        grads = {n: rng.normal(size=v.shape).astype(v.dtype) for n, v in params.items()}
-        opt = M.Adamax(cfg, params)
-        opt.step(params, grads)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            opt.step(params, grads)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < params["lstm_wx"].nbytes / 8, peak
-
     def test_float32_step_is_the_formula_bit_for_bit(self):
-        # the in-place step keeps the formula's operations and their order
+        # the step keeps the formula's operations and their order
         cfg = tiny_config()
         params = {n: v.astype(np.float32) for n, v in make_model(cfg, seed=17).params.items()}
         want = {n: v.copy() for n, v in params.items()}
@@ -567,6 +554,35 @@ class TestTrainStep:
             M.train_step(m, opt, ids, Y, np.random.default_rng(0))
 
 
+# what a workspace keeps: the activations, nothing else
+ACTIVATIONS = {"win", "A", "P", "G", "H", "C", "TC", "pool_mask"}
+
+
+def largest_line_growth(call):
+    """The most that traced memory rose within one line of Python run by
+    `call()`: at least the size of every array a line allocates, unless the
+    line frees an older array before allocating it."""
+    worst = start = 0
+
+    def trace(frame, event, arg):
+        nonlocal worst, start
+        worst = max(worst, tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        return trace
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+        tracemalloc.stop()
+    return worst
+
+
 class TestWorkspace:
     """fit hands every train step the same workspace (see model._buf)."""
 
@@ -600,7 +616,7 @@ class TestWorkspace:
         self._fill_with_junk(monkeypatch)
         ws = {}
         got_losses, got = self._three_steps(ws=ws)
-        assert {"H", "C", "taken"} <= set(ws)
+        assert set(ws) == ACTIVATIONS
         assert got_losses == want_losses
         for name in M.PARAM_NAMES:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -616,19 +632,14 @@ class TestWorkspace:
         onehot[np.arange(cfg.batch_size), rng.integers(0, 6, cfg.batch_size)] = 1.0
         ws = {}
         M.train_step(m, opt, ids, onehot, rng, ws=ws)  # fills the workspace
-        peaks = {}
-        tracemalloc.start()
-        try:
-            for key, step_ws in (("warm", ws), ("fresh", None)):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                M.train_step(m, opt, ids, onehot, rng, ws=step_ws)
-                peaks[key] = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # 0.91 MB against 21.7 MB here: the gradients go into the workspace
-        # too, so what a warm step allocates is the small per-step temporaries
-        assert peaks["warm"] <= peaks["fresh"] / 20, peaks
+        grown = {key: largest_line_growth(
+                     lambda: M.train_step(m, opt, ids, onehot, rng, ws=step_ws))
+                 for key, step_ws in (("warm", ws), ("fresh", None))}
+        # the smallest kept buffer is A, a block's conv activations (1.02
+        # MB); a warm step's largest line takes 0.80 MB (Adamax's two
+        # lstm_wx-sized temporaries), a fresh step's 5.94 MB (the gates G)
+        smallest = min(arr.nbytes for arr in ws.values())
+        assert grown["warm"] < smallest <= grown["fresh"], (grown, smallest)
 
     def test_smaller_shapes_share_the_memory_larger_ones_grow_it(self):
         ws = {}
@@ -652,7 +663,7 @@ class TestWorkspace:
         ws = {}
         for ids, probs in zip(batches, want):
             np.testing.assert_array_equal(M.predict_proba(m, ids, ws=ws), probs)
-        assert {"win", "A", "P", "wx_half", "wh_half", "G", "H", "C", "TC", "z"} == set(ws)
+        assert set(ws) == ACTIVATIONS - {"pool_mask"}
 
     def test_warm_predict_allocates_little(self):
         cfg = ClassifierConfig(num_categories=6)
@@ -661,46 +672,36 @@ class TestWorkspace:
         ids = np.random.default_rng(17).integers(0, 200, size=(100, cfg.seq_len))
         ws = {}
         M.predict_proba(m, ids, ws=ws)  # fills the workspace
-        peaks = {}
-        tracemalloc.start()
-        try:
-            for key, call_ws in (("warm", ws), ("fresh", None)):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                M.predict_proba(m, ids, ws=call_ws)
-                peaks[key] = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # 0.25 MB against 5.35 MB here (one 100-row pass in blocks of 5
-        # steps): the LSTM weights with their gate columns halved are
-        # written into the workspace too, so a warm call allocates only
-        # per-pass temporaries such as the window index
-        assert peaks["warm"] <= peaks["fresh"] / 20, peaks
+        grown = {key: largest_line_growth(lambda: M.predict_proba(m, ids, ws=call_ws))
+                 for key, call_ws in (("warm", ws), ("fresh", None))}
+        # one 100-row pass in blocks of 5 steps: its smallest block buffer
+        # is the pool activations P (0.5 MB; the LSTM state is one step's,
+        # 40 kB); a warm call's largest line takes 0.43 MB (the LSTM input
+        # weights with their gate columns halved), a fresh call's 1.2 MB
+        # (the windows)
+        block = min(ws[name].nbytes for name in ("win", "A", "P", "G"))
+        assert grown["warm"] < block <= grown["fresh"], (grown, block)
 
     def test_prediction_workspace_size_at_the_default_config(self):
         # a PREDICT_ROWS-row prediction pass streams through time: it holds
         # one block of windows, conv, pool and gate activations, of about
-        # BLOCK_ROWS rows times steps, and two steps of LSTM state, plus the
-        # halved LSTM weights: 4.86 MB at 256 rows in blocks of 2 steps (4.4
-        # MB at 64 rows in blocks of 8; 9.9 MB at 64 rows when every step's
-        # pool and gates were held)
+        # BLOCK_ROWS rows times steps, and one step of LSTM state: 3.89 MB
+        # at 256 rows in blocks of 2 steps (3.66 MB at 64 rows in blocks of
+        # 8; 9.9 MB at 64 rows when every step's pool and gates were held)
         cfg = ClassifierConfig(num_categories=6)
         emb = np.random.default_rng(24).normal(size=(50, cfg.embed_dims))
         m = M.init_model(cfg, emb, seed=24).astype(M.TRAIN_DTYPE)
         ids = np.random.default_rng(24).integers(0, 50, size=(M.PREDICT_ROWS, cfg.seq_len))
         ws = {}
         M.predict_proba(m, ids, ws=ws)
-        assert sum(arr.nbytes for arr in ws.values()) <= 4.9e6
+        assert sum(arr.nbytes for arr in ws.values()) <= 3.9e6
 
     def test_workspace_size_at_the_default_config(self):
-        # batch 128 in float32, in one pass: 18.9 MB of activations, since
+        # batch 128 in float32, in one pass: 18.32 MB of activations, since
         # the conv runs in blocks of 4 pooled steps at 128 rows (its windows
         # and activations are 2.3 MB), the gate, pool and conv gradients
         # reuse the gate, pool and conv activations' buffers and the pool
-        # mask holds the ReLU's, plus the halved LSTM weights and a
-        # contiguous transposed lstm_wh (0.7 MB) and a block's conv_w
-        # gradient (0.3 MB): 19.9 MB; then one parameter-sized buffer per
-        # gradient (1.1 MB)
+        # mask holds the ReLU's
         cfg = ClassifierConfig(num_categories=6)
         emb = np.random.default_rng(18).normal(size=(50, cfg.embed_dims))
         m = M.init_model(cfg, emb, seed=18).astype(M.TRAIN_DTYPE)
@@ -710,10 +711,8 @@ class TestWorkspace:
         onehot[np.arange(cfg.batch_size), rng.integers(0, 6, cfg.batch_size)] = 1.0
         ws = {}
         M.train_step(m, M.Adamax(cfg, m.params), ids, onehot, rng, ws=ws)
-        grads = {"d" + name for name in M.PARAM_NAMES}
-        assert sum(arr.nbytes for name, arr in ws.items() if name not in grads) < 20.5e6
-        assert sum(ws[name].nbytes for name in grads) == sum(
-            arr.nbytes for arr in m.params.values())
+        assert set(ws) == ACTIVATIONS
+        assert sum(arr.nbytes for arr in ws.values()) < 18.4e6
 
 
 class TestFit:
