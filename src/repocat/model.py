@@ -18,24 +18,37 @@ float64's resolution.
 
 The forward and backward passes run time-major: the conv, pool and LSTM
 activations are (steps, batch, width), so every time step is one
-contiguous block and the pool reads whole-step slabs.  The forward pass
-streams through time in blocks of pooled steps, sized by rows times steps:
-a pass of R rows runs blocks of max(1, BLOCK_ROWS // R) steps, so a block
-holds about BLOCK_ROWS rows of activations whatever the pass, and a small
-pass runs one block.  For each block the lookup gathers the block's conv
-windows from the table straight into a (block steps * batch, kernel *
-dims) window matrix; one GEMM gives the block's conv pre-activations, and
-the pool reduces them at once.  The conv
-bias and the ReLU then run on the pooled values, which is exact since the
-max commutes with both; one GEMM projects the block into the LSTM's gates;
+contiguous block and the pool reads whole-step slabs.  The embedding is
+frozen, so conv step t's pre-activation, the sum over k of
+E[id_{t+k}] @ conv_w[k], is a sum of per-token terms.  A pass therefore
+starts with a table of its own distinct ids (`_token_table`): tables[k] =
+E[distinct] @ conv_w[k], (kernel, n, filters), and the pass's ids mapped
+to time-major slots in it.  The table pays where ids repeat within a
+pass: a 240-row `eval` call of the `categorize` benchmark uses about 470
+distinct ids of 14,400, and a 128-row training batch of `build` about 614
+of 7,680.  It has room for n rounded up to a power of two, and at most
+min(vocabulary, rows * seq_len) ids, of kernel * filters values each:
+1.5 MB at 470 ids, and 46 MB (float32, default config) for a
+PREDICT_ROWS-row pass whose ids are all distinct, which then runs slower
+than a GEMM over its windows: 42 ms against 33 ms (2-CPU Xeon).
+
+The forward pass streams through time in blocks of pooled steps, sized by
+rows times steps: a pass of R rows runs blocks of max(1, BLOCK_ROWS // R)
+steps, so a block holds about BLOCK_ROWS rows of activations whatever the
+pass, and a small pass runs one block.  Each block's conv pre-activations
+are K gathers and adds from the table, one conv step at a time
+(`_conv_block`), and the pool reduces them at once.  The conv bias and
+the ReLU then run on the pooled values, which is exact since the max
+commutes with both; one GEMM projects the block into the LSTM's gates;
 and the LSTM runs the block's steps.  The conv steps that the pool cuts
 (conv_len % pool_size of them) are not computed.  A prediction pass holds
 one block of pool activations and gates and the current LSTM state only.
 A training pass keeps every step's for the backward pass, which walks the
-same conv blocks, gathering each block's windows again for its share of
-the conv weight gradient.  The sigmoid gates i, f and o are computed as
-0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight and bias
-columns (exact in binary), so one tanh per step covers all four gates.
+same conv blocks, gathering each block's windows (`_windows`) for its
+share of the conv weight gradient.  The sigmoid gates i, f and o are
+computed as 0.5 * (1 + tanh(z / 2)) with z / 2 taken from halved weight
+and bias columns (exact in binary), so one tanh per step covers all four
+gates.
 That tanh writes a step's gates over the step's projection gate-major,
 (4, batch, units), so each gate is one contiguous block; the backward
 pass builds a step's gate gradients gate by gate in a (4, batch, units)
@@ -50,20 +63,23 @@ one block's, about BLOCK_ROWS rows times steps; its pool, mask, gate and
 LSTM state arrays hold every step of the batch.
 
 `fit` hands every train step one workspace: a dict in which `_buf` keeps
-the activations (a block's conv windows `win` and conv activations `A`,
-the pool activations `P`, the pool mask, the gates `G` and the LSTM state
-`H`, `C` and `TC`) and returns them to the next pass, which writes them
-in place.  Each is one flat array that only grows, so a smaller pass
+the pass's token table (see `_token_table`; with the (batch, filters)
+rows `gather` that `_conv_block` adds) and the activations (a block's
+conv windows `win`, for the backward pass only, and conv activations
+`A`, the pool activations `P`, the pool mask, the gates `G` and the LSTM
+state `H`, `C` and `TC`) and returns them to the next pass, which writes
+them in place.  Each is one flat array that only grows, so a smaller pass
 runs in the leading part of the memory a full one left.  The backward
 pass writes the gate gradient over the gates in `G`, the pool gradient
 into `P` and each block's conv gradient into `A`, as it stops reading
 each; the pool mask holds the ReLU's gradient mask too.  At the default
-config the workspace holds 18.3 MB after a batch-128 step, and a
-PREDICT_ROWS-row prediction pass 3.9 MB (3.7 MB at 64 rows in blocks of
-8 steps).  Everything else (the parameter gradients, the LSTM weights
-with their sigmoid columns halved, the per-step scratch) is allocated
-per pass, and none of it is as large as a block's activations, so a step
-or a pass on a warm workspace allocates no multi-MB array.
+config the workspace holds 18.7 MB after a batch-128 step over 50
+distinct ids, and a PREDICT_ROWS-row prediction pass 3.2 MB over 50 and
+4.75 MB over 500; each id of the table's room adds 3.4 kB.  Everything
+else (the parameter gradients, the LSTM weights with their sigmoid
+columns halved, the per-step scratch) is allocated per pass, and none of
+it is as large as a block's activations, so a step or a pass on a warm
+workspace allocates no multi-MB array.
 `predict_proba` takes a workspace too: `fit`'s validation passes use the
 training one, and `eval` holds one for all its calls.  An activation
 from a workspace, and so a cache that holds one, is valid only until the
@@ -106,30 +122,23 @@ logger = logging.getLogger(__name__)
 # Rows per prediction pass: `predict_proba` splits its input into passes of
 # at most this many rows, and `evaluation.evaluate_project_level` packs
 # whole projects into calls of up to this many.  In TRAIN_DTYPE (2-CPU
-# Xeon, NumPy 2.4.6, OpenBLAS; median of 11 interleaved calls, one
-# process), predict_proba on the 3,600 `cd` rows of a `categorize` fixture
-# took 469 ms at 64 rows in blocks of 8 steps, 423 ms at 256 rows in blocks
-# of 2, and 425 ms at 512 rows in blocks of 1, whose workspace is 4.2 MB
-# against 3.9 MB at 256 rows and 3.7 MB at 64.
+# Xeon, NumPy 2.4.6, OpenBLAS; median of 9 interleaved runs, one process),
+# predict_proba on the 3,600 `cd` rows of a `categorize` fixture, in eval's
+# calls of whole 30-row projects, took 484 ms at 128 rows in blocks of 4
+# steps, 428 ms at 256 rows in blocks of 2, and 414 ms at 512 rows in
+# blocks of 1, whose workspace is 5.7 MB against 4.5 MB at 256 rows and
+# 3.9 MB at 128.
 PREDICT_ROWS = 256
 
 # Rows times pooled steps per block of the forward pass: a pass of R rows
-# gathers, convolves, pools, projects and runs the LSTM over
-# max(1, BLOCK_ROWS // R) pool windows at a time (`_block_steps`), and the
-# backward pass walks the same conv blocks.  That is 4 steps at 128 rows (a
-# stock training batch), 2 at 256, and one block of all steps at 17 rows or
-# fewer; a block's windows, conv activations, pool activations and gates
-# stay about the same size whatever the pass.  At the stock shapes in
-# TRAIN_DTYPE (median of 15 best-of-10 timings), the conv and pool of a
-# 64-row pass took 3.19 ms in
-# blocks of 8 against 3.12 ms in one block of all 29 (block 4: 3.42, block
-# 16: 3.13), and the conv weight gradient with its re-gather 3.27 against
-# 3.17 ms.  A block of 8 steps at 64 rows holds 2.3 MB of windows and conv
-# activations, against 8.2 MB for all steps, and 1.3 MB of pool activations
-# and gates, against 4.8 MB.  On the 3,600 rows above, 256-row passes in
-# blocks of 4 steps (BLOCK_ROWS 1024) took 407 ms, but their workspace is
-# 7.5 MB; 20-row passes took 593 ms in blocks of 8 steps and 573 ms in
-# blocks of 25.
+# convolves, pools, projects and runs the LSTM over max(1, BLOCK_ROWS // R)
+# pool windows at a time (`_block_steps`), and the backward pass walks the
+# same conv blocks.  That is 4 steps at 128 rows (a stock training batch),
+# 2 at 256, and one block of all steps at 17 rows or fewer; a block's conv
+# activations, pool activations and gates stay about the same size
+# whatever the pass.  On the 3,600 rows above, in 240-row calls, blocks of
+# 1 step (BLOCK_ROWS 256) took 435 ms with a 3.4 MB workspace, of 2 steps
+# 428 ms with 4.5 MB, and of 4 steps (BLOCK_ROWS 1024) 401 ms with 6.7 MB.
 BLOCK_ROWS = 512
 
 # The precision of every fitted or loaded network.  A batch-128 train step
@@ -342,7 +351,8 @@ def _windows(model, ids, t0, t1, ws):
     """The conv windows of steps t0 .. t1-1 of (B, seq_len) ids, gathered
     from `model.table` into the workspace buffer "win": row (t, b) of the
     ((t1 - t0) * B, kernel * dims) result holds the table rows of
-    ids[b, t0 + t .. t0 + t + kernel - 1]."""
+    ids[b, t0 + t .. t0 + t + kernel - 1].  Only the backward pass reads
+    them, for the conv weight gradient."""
     K, D = model.config.kernel_size, model.config.embed_dims
     B = ids.shape[0]
     win = _buf(ws, "win", (t1 - t0, B, K, D), model.table.dtype)
@@ -353,14 +363,65 @@ def _windows(model, ids, t0, t1, ws):
     return win.reshape((t1 - t0) * B, K * D)
 
 
-def _conv(model, ids, t0, t1, ws):
-    """Conv pre-activations of steps t0 .. t1-1 of (B, seq_len) ids, without
-    the bias: (t1 - t0, B, filters), in the workspace buffer "A"."""
-    F = model.config.filters
-    win = _windows(model, ids, t0, t1, ws)
-    A = np.matmul(win, model.params["conv_w"].reshape(-1, F),
-                  out=_buf(ws, "A", (len(win), F), win.dtype))
-    return A.reshape(t1 - t0, ids.shape[0], F)
+def _token_table(model, ids, ws):
+    """The conv's per-token table of a pass of (B, seq_len) ids: (tables,
+    slots).
+
+    tables is (kernel, n, filters), tables[k] = E @ conv_w[k], where E holds
+    the `model.table` rows of the pass's n distinct ids in ascending id
+    order; slots is (seq_len, B), time-major, and holds each id's row in
+    tables.  Step t of row b then convolves to the sum over k of
+    tables[k, slots[t + k, b]] (`_conv_block`).  The distinct ids are found
+    through a vocabulary-sized map, so no sort: O(vocabulary + B * seq_len).
+    The table holds at most min(vocabulary, B * seq_len) * kernel * filters
+    values: 46 MB in float32 for a PREDICT_ROWS-row pass whose ids are all
+    distinct, at the default config; the arrays live in the workspace `ws`
+    (see `_buf`) as "marks", "slots", "rows" and "tables"."""
+    K, F = model.config.kernel_size, model.config.filters
+    V, D = model.table.shape
+    conv_w = model.params["conv_w"]
+    # marks[id] is 1 where the pass uses the id, then the id's slot
+    marks = _buf(ws, "marks", (V,), np.intp)
+    marks.fill(0)
+    marks[ids] = 1
+    distinct = np.flatnonzero(marks)
+    n = len(distinct)
+    marks[distinct] = np.arange(n)
+    # the ids were checked (`_checked_ids`) and every mark is a slot, so
+    # mode="clip" clips nothing and spares `take` its buffered copy
+    slots = np.take(marks, ids.T, out=_buf(ws, "slots", ids.T.shape, np.intp), mode="clip")
+    # rows and tables hold room for n rounded up to a power of two (at most
+    # the ids a pass can hold), so passes whose distinct counts differ a
+    # little, as eval's calls do, share one allocation: a workspace grown
+    # call by call left each outgrown table as a hole in the heap, and 40
+    # `categorize` passes peaked at 55.8 MB against 51.7 MB
+    room = min(1 << (n - 1).bit_length(), V, ids.size)
+    rows = np.take(model.table, distinct, axis=0, mode="clip",
+                   out=_buf(ws, "rows", (room, D), conv_w.dtype)[:n])
+    tables = _buf(ws, "tables", (K, room, F), conv_w.dtype)[:, :n]
+    for k in range(K):
+        np.matmul(rows, conv_w[k], out=tables[k])
+    return tables, slots
+
+
+def _conv_block(tables, slots, t0, t1, ws):
+    """Conv pre-activations of steps t0 .. t1-1, without the bias, from a
+    pass's `_token_table`: (t1 - t0, B, filters), in the workspace buffer
+    "A".  Step t is tables[0][slots[t]] + tables[1][slots[t + 1]] + ...,
+    added in k order, one step at a time through a (B, filters) buffer
+    "gather", which stays in cache."""
+    K, _, F = tables.shape
+    B = slots.shape[1]
+    A = _buf(ws, "A", (t1 - t0, B, F), tables.dtype)
+    gather = _buf(ws, "gather", (B, F), tables.dtype)
+    for t in range(t0, t1):
+        a = A[t - t0]
+        # every slot has a row, so mode="clip" clips nothing (see `_windows`)
+        np.take(tables[0], slots[t], axis=0, out=a, mode="clip")
+        for k in range(1, K):
+            np.take(tables[k], slots[t + k], axis=0, out=gather, mode="clip")
+            a += gather
+    return A
 
 
 def _forward(model, ids, rng=None, want_cache=False, ws=None):
@@ -386,6 +447,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
     T2, PS = cfg.pooled_len, cfg.pool_size
     dt = p["conv_w"].dtype
     step = _block_steps(B)
+    tables, slots = _token_table(model, ids, ws)
 
     # the sigmoid gates i, f, o are 0.5 * (1 + tanh(z / 2)); halving their
     # weight and bias columns (exact in binary) lets one tanh per step cover
@@ -421,7 +483,7 @@ def _forward(model, ids, rng=None, want_cache=False, ws=None):
         # covers the block's steps j*PS .. j*PS+PS-1, slab k holds step k of
         # every window; the steps from T2*PS on, which the pool cuts, are
         # never computed
-        A = _conv(model, ids, j0 * PS, j1 * PS, ws)
+        A = _conv_block(tables, slots, j0 * PS, j1 * PS, ws)
         slabs = [A[k::PS] for k in range(PS)]
         np.copyto(P_blk, slabs[0])
         for slab in slabs[1:]:
@@ -616,7 +678,8 @@ def predict_proba(model, ids, ws=None):
 def conv_activations(model, ids):
     """Post-ReLU convolution activations for one sequence: (conv_len, filters)."""
     ids = _checked_ids(model, np.asarray(ids)[None, :])
-    A = _conv(model, ids, 0, model.config.conv_len, None)[:, 0]
+    tables, slots = _token_table(model, ids, None)
+    A = _conv_block(tables, slots, 0, model.config.conv_len, None)[:, 0]
     A += model.params["conv_b"]
     return np.maximum(A, 0.0, out=A)
 

@@ -283,10 +283,41 @@ class TestBatchLayout:
         assert err < 1e-4, f"max relative gradient error {err}"
 
 
-def full_window_reference(model, ids, onehot=None):
-    """The pass as it ran before the conv ran in blocks: the whole
-    (conv_len * B, kernel * dims) window matrix, one GEMM, and the conv
-    activations of every step, those the pool cuts included.  No dropout.
+def window_matrix(model, ids):
+    """The whole (conv_len * B, kernel * dims) window matrix of (B, seq_len)
+    ids: row (t, b) holds the table rows of ids[b, t .. t + kernel - 1]."""
+    cfg = model.config
+    T, K = cfg.conv_len, cfg.kernel_size
+    at = np.arange(T)[:, None] + np.arange(K)
+    return model.table[ids.T[at].transpose(0, 2, 1)].reshape(T * len(ids), -1)
+
+
+def window_conv(model, ids):
+    """Every step's conv pre-activations, without the bias, as the window
+    matrix times the conv weights in one GEMM: (conv_len, B, filters)."""
+    cfg = model.config
+    conv_w = model.params["conv_w"].reshape(-1, cfg.filters)
+    return (window_matrix(model, ids) @ conv_w).reshape(cfg.conv_len, len(ids), -1)
+
+
+def token_table_conv(model, ids):
+    """Every step's conv pre-activations, without the bias, from a table of
+    the whole embedding, table @ conv_w[k] for each k: step t of row b is
+    the sum over k of row ids[b, t + k] of the k-th table, added in k order
+    as the network adds them, in one pass over all steps and rows."""
+    cfg = model.config
+    tables = [model.table @ w for w in model.params["conv_w"]]
+    A = tables[0][ids.T[: cfg.conv_len]]
+    for k in range(1, cfg.kernel_size):
+        A += tables[k][ids.T[k : k + cfg.conv_len]]
+    return A
+
+
+def full_window_reference(model, ids, onehot=None, conv=window_conv):
+    """The pass as it ran before the conv ran in blocks: the conv
+    activations of every step, those the pool cuts included, computed by
+    `conv` in one call (by default the whole window matrix and one GEMM),
+    and the conv weight gradient from the whole window matrix.  No dropout.
 
     Returns (probs, A, grads): A is (conv_len, B, filters); grads, of the
     mean cross-entropy against onehot, is None without onehot."""
@@ -295,12 +326,9 @@ def full_window_reference(model, ids, onehot=None):
     B = ids.shape[0]
     K, D, F, U = cfg.kernel_size, cfg.embed_dims, cfg.filters, cfg.lstm_units
     T, T2, PS = cfg.conv_len, cfg.pooled_len, cfg.pool_size
-    at = np.arange(T)[:, None] + np.arange(K)
-    win_flat = model.table[ids.T[at].transpose(0, 2, 1)].reshape(T * B, K * D)
-    A = win_flat @ p["conv_w"].reshape(K * D, F)
+    A = conv(model, ids)
     A += p["conv_b"]
     np.maximum(A, 0.0, out=A)
-    A = A.reshape(T, B, F)
     slabs = [A[k : T2 * PS : PS] for k in range(PS)]
     P = slabs[0].copy()
     for slab in slabs[1:]:
@@ -363,7 +391,7 @@ def full_window_reference(model, ids, onehot=None):
         taken |= first
         dZ[k : T2 * PS : PS] = dP * first
     dZ = dZ.reshape(T * B, F)
-    grads["conv_w"] = (win_flat.T @ dZ).reshape(K, D, F)
+    grads["conv_w"] = (window_matrix(model, ids).T @ dZ).reshape(K, D, F)
     grads["conv_b"] = dZ.sum(axis=0)
     return probs, A, grads
 
@@ -381,9 +409,12 @@ TRAIN_ROWS = ClassifierConfig(num_categories=2).batch_size
 
 
 class TestConvBlocks:
-    """The conv runs blocks of about BLOCK_ROWS rows times pooled steps; it
-    must compute what the whole window matrix gave, the last, partial block
-    and the steps the pool cuts included, at every pass size."""
+    """The conv runs blocks of about BLOCK_ROWS rows times pooled steps,
+    from a table of the pass's distinct tokens; it must compute what the
+    whole window matrix gave, the last, partial block and the steps the pool
+    cuts included, at every pass size.  In float64 it matches the window
+    GEMM to rounding; in float32 a prediction matches, bit for bit, a pass
+    that adds the same per-token rows in the same order unblocked."""
 
     def test_shapes_span_several_blocks(self):
         steps = M._block_steps(TRAIN_ROWS)
@@ -406,17 +437,48 @@ class TestConvBlocks:
     def test_predict_proba_matches_the_full_window_matrix(self, pool_size, seq_len, rows):
         m = make_model(block_config(pool_size, seq_len), seed=21).astype(M.TRAIN_DTYPE)
         ids = np.random.default_rng(rows).integers(0, 12, size=(rows, seq_len))
-        want, _, _ = full_window_reference(m, ids)
+        want, _, _ = full_window_reference(m, ids, conv=token_table_conv)
         np.testing.assert_array_equal(M.predict_proba(m, ids, ws={}), want)
 
     @pytest.mark.parametrize("pool_size,seq_len", BLOCK_SHAPES)
     def test_conv_activations_match_the_full_window_matrix(self, pool_size, seq_len):
         m = make_model(block_config(pool_size, seq_len), seed=22).astype(M.TRAIN_DTYPE)
         ids = np.random.default_rng(22).integers(0, 12, size=seq_len)
-        _, want, _ = full_window_reference(m, ids[None, :])
+        _, want, _ = full_window_reference(m, ids[None, :], conv=token_table_conv)
         got = M.conv_activations(m, ids)
         assert got.shape == (m.config.conv_len, m.config.filters)
         np.testing.assert_array_equal(got, want[:, 0])
+
+    @pytest.mark.parametrize("pass_ids", ["random", "all-equal", "all-distinct"])
+    @pytest.mark.parametrize("pool_size,seq_len", BLOCK_SHAPES)
+    def test_token_table_conv_matches_the_window_product(self, pool_size, seq_len, pass_ids):
+        # in float64 the per-token sums and the window GEMM differ in
+        # rounding only; the blocks run as in a TRAIN_ROWS-row pass, and
+        # one call covers every step, the pool's cut ones included
+        cfg = block_config(pool_size, seq_len)
+        rows, PS = TRAIN_ROWS, cfg.pool_size
+        vocab_size = rows * seq_len if pass_ids == "all-distinct" else 40
+        m = make_model(cfg, seed=25, vocab_size=vocab_size)
+        rng = np.random.default_rng(25)
+        if pass_ids == "random":
+            ids = rng.integers(0, vocab_size, size=(rows, seq_len))
+            ids[0, :2] = 0, 1
+            ids[-1, -1] = vocab_size - 1
+        elif pass_ids == "all-equal":
+            ids = np.full((rows, seq_len), vocab_size - 1)
+        else:
+            ids = rng.permutation(vocab_size).reshape(rows, seq_len)
+        want = window_conv(m, ids)
+        ws = {}
+        tables, slots = M._token_table(m, ids, ws)
+        assert tables.shape == (cfg.kernel_size, len(np.unique(ids)), cfg.filters)
+        step = M._block_steps(rows)
+        for j0 in range(0, cfg.pooled_len, step):
+            t0, t1 = j0 * PS, min(j0 + step, cfg.pooled_len) * PS
+            np.testing.assert_allclose(M._conv_block(tables, slots, t0, t1, ws),
+                                       want[t0:t1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(M._conv_block(tables, slots, 0, cfg.conv_len, None),
+                                   want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pool_size,seq_len", BLOCK_SHAPES)
     def test_train_step_gradients_match_the_full_window_matrix(self, pool_size, seq_len):
@@ -554,8 +616,11 @@ class TestTrainStep:
             M.train_step(m, opt, ids, Y, np.random.default_rng(0))
 
 
-# what a workspace keeps: the activations, nothing else
-ACTIVATIONS = {"win", "A", "P", "G", "H", "C", "TC", "pool_mask"}
+# what a workspace keeps: the pass's token table (the distinct-id marks,
+# the time-major slots, the distinct ids' embedding rows, the tables and one
+# conv step's gathered rows) and the activations, nothing else
+TABLE_ARRAYS = {"marks", "slots", "rows", "tables", "gather"}
+ACTIVATIONS = TABLE_ARRAYS | {"win", "A", "P", "G", "H", "C", "TC", "pool_mask"}
 
 
 def largest_line_growth(call):
@@ -635,10 +700,12 @@ class TestWorkspace:
         grown = {key: largest_line_growth(
                      lambda: M.train_step(m, opt, ids, onehot, rng, ws=step_ws))
                  for key, step_ws in (("warm", ws), ("fresh", None))}
-        # the smallest kept buffer is A, a block's conv activations (1.02
-        # MB); a warm step's largest line takes 0.80 MB (Adamax's two
-        # lstm_wx-sized temporaries), a fresh step's 5.94 MB (the gates G)
-        smallest = min(arr.nbytes for arr in ws.values())
+        # the smallest kept activation buffer is A, a block's conv
+        # activations (1.02 MB; the token table's arrays are 0.87 MB in all,
+        # at 200 distinct ids); a warm step's largest line takes 0.80 MB
+        # (Adamax's two lstm_wx-sized temporaries), a fresh step's 5.94 MB
+        # (the gates G)
+        smallest = min(arr.nbytes for name, arr in ws.items() if name not in TABLE_ARRAYS)
         assert grown["warm"] < smallest <= grown["fresh"], (grown, smallest)
 
     def test_smaller_shapes_share_the_memory_larger_ones_grow_it(self):
@@ -663,7 +730,20 @@ class TestWorkspace:
         ws = {}
         for ids, probs in zip(batches, want):
             np.testing.assert_array_equal(M.predict_proba(m, ids, ws=ws), probs)
-        assert set(ws) == ACTIVATIONS - {"pool_mask"}
+        assert set(ws) == ACTIVATIONS - {"win", "pool_mask"}
+
+    def test_nearby_distinct_counts_share_the_table(self):
+        # eval's calls differ by a few distinct ids: the table's room is
+        # their count rounded up to a power of two, so they share one array
+        m = make_model(tail_config(), seed=26, vocab_size=200).astype(M.TRAIN_DTYPE)
+        ws = {}
+        for n in (70, 128, 90):
+            ids = np.resize(np.arange(n), (8, m.config.seq_len))
+            np.testing.assert_array_equal(M.predict_proba(m, ids, ws=ws), M.predict_proba(m, ids))
+            if n == 70:
+                tables, rows = ws["tables"], ws["rows"]
+            assert ws["tables"] is tables and ws["rows"] is rows
+        assert ws["tables"].size == 3 * 128 * m.config.filters
 
     def test_warm_predict_allocates_little(self):
         cfg = ClassifierConfig(num_categories=6)
@@ -676,32 +756,49 @@ class TestWorkspace:
                  for key, call_ws in (("warm", ws), ("fresh", None))}
         # one 100-row pass in blocks of 5 steps: its smallest block buffer
         # is the pool activations P (0.5 MB; the LSTM state is one step's,
-        # 40 kB); a warm call's largest line takes 0.43 MB (the LSTM input
-        # weights with their gate columns halved), a fresh call's 1.2 MB
-        # (the windows)
-        block = min(ws[name].nbytes for name in ("win", "A", "P", "G"))
+        # 40 kB, and the token table's arrays are 0.83 MB in all); a warm
+        # call's largest line takes 0.43 MB (the LSTM input weights with
+        # their gate columns halved), a fresh call's 1.0 MB (the conv
+        # activations A)
+        block = min(ws[name].nbytes for name in ("A", "P", "G"))
         assert grown["warm"] < block <= grown["fresh"], (grown, block)
+
+    @staticmethod
+    def _prediction_workspace_bytes(vocab_size):
+        """Workspace bytes after one PREDICT_ROWS-row pass at the default
+        config, its ids drawn from `vocab_size` ids (all of them drawn)."""
+        cfg = ClassifierConfig(num_categories=6)
+        emb = np.random.default_rng(24).normal(size=(vocab_size, cfg.embed_dims))
+        m = M.init_model(cfg, emb, seed=24).astype(M.TRAIN_DTYPE)
+        ids = np.random.default_rng(24).integers(0, vocab_size,
+                                                 size=(M.PREDICT_ROWS, cfg.seq_len))
+        assert len(np.unique(ids)) == vocab_size
+        ws = {}
+        M.predict_proba(m, ids, ws=ws)
+        return sum(arr.nbytes for arr in ws.values())
 
     def test_prediction_workspace_size_at_the_default_config(self):
         # a PREDICT_ROWS-row prediction pass streams through time: it holds
-        # one block of windows, conv, pool and gate activations, of about
-        # BLOCK_ROWS rows times steps, and one step of LSTM state: 3.89 MB
-        # at 256 rows in blocks of 2 steps (3.66 MB at 64 rows in blocks of
-        # 8; 9.9 MB at 64 rows when every step's pool and gates were held)
-        cfg = ClassifierConfig(num_categories=6)
-        emb = np.random.default_rng(24).normal(size=(50, cfg.embed_dims))
-        m = M.init_model(cfg, emb, seed=24).astype(M.TRAIN_DTYPE)
-        ids = np.random.default_rng(24).integers(0, 50, size=(M.PREDICT_ROWS, cfg.seq_len))
-        ws = {}
-        M.predict_proba(m, ids, ws=ws)
-        assert sum(arr.nbytes for arr in ws.values()) <= 3.9e6
+        # one block of conv, pool and gate activations, of about BLOCK_ROWS
+        # rows times steps, one step of LSTM state and the pass's token
+        # table: 3.21 MB at 256 rows in blocks of 2 steps over 50 distinct
+        # ids (3.89 MB when each block gathered its conv windows)
+        assert self._prediction_workspace_bytes(50) <= 3.25e6
+
+    def test_prediction_workspace_size_at_500_distinct_ids(self):
+        # the token table grows with its room, 3.0 kB of tables and 0.4 kB
+        # of embedding rows an id: 4.75 MB at 500 distinct ids (the room,
+        # 512, is capped by the vocabulary), about the 470 of a
+        # `categorize` call
+        assert self._prediction_workspace_bytes(500) <= 4.8e6
 
     def test_workspace_size_at_the_default_config(self):
-        # batch 128 in float32, in one pass: 18.32 MB of activations, since
-        # the conv runs in blocks of 4 pooled steps at 128 rows (its windows
-        # and activations are 2.3 MB), the gate, pool and conv gradients
-        # reuse the gate, pool and conv activations' buffers and the pool
-        # mask holds the ReLU's
+        # batch 128 in float32, in one pass: 18.68 MB, 18.32 MB of it
+        # activations, since the conv runs in blocks of 4 pooled steps at 128
+        # rows (the backward pass's windows and the conv activations are 2.3
+        # MB), the gate, pool and conv gradients reuse the gate, pool and
+        # conv activations' buffers and the pool mask holds the ReLU's; the
+        # token table of 50 distinct ids and its gather buffer take 0.36 MB
         cfg = ClassifierConfig(num_categories=6)
         emb = np.random.default_rng(18).normal(size=(50, cfg.embed_dims))
         m = M.init_model(cfg, emb, seed=18).astype(M.TRAIN_DTYPE)
@@ -712,7 +809,7 @@ class TestWorkspace:
         ws = {}
         M.train_step(m, M.Adamax(cfg, m.params), ids, onehot, rng, ws=ws)
         assert set(ws) == ACTIVATIONS
-        assert sum(arr.nbytes for arr in ws.values()) < 18.4e6
+        assert sum(arr.nbytes for arr in ws.values()) < 18.7e6
 
 
 class TestFit:
